@@ -22,14 +22,7 @@ from .cylinder import (
 )
 from .errors import LengthPrecondition, NotPeriodic, StructureViolation, TooLarge
 from .polygon import enumerate_shift_invariant, make_star
-from .surfaces import (
-    Edge,
-    EdgeClass,
-    cover_crosses,
-    cylinder,
-    polygon,
-    window_translations,
-)
+from .surfaces import EdgeClass, cylinder, lift_universe, polygon
 
 
 def _budget_gate(n: int, k: int) -> None:
@@ -211,12 +204,11 @@ def check_counts_k(n: int, k: int) -> dict:
     }
 
 
-def _windowed_lift(classes, k: int) -> list[Edge]:
-    edges = set()
-    for c in classes:
-        for t in window_translations(k):
-            edges.add(c.translate(t))
-    return sorted(edges)
+def _bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def find_single_translate_replacement(classes, doubled: EdgeClass, n: int, k: int):
@@ -224,16 +216,17 @@ def find_single_translate_replacement(classes, doubled: EdgeClass, n: int, k: in
 
     Returns the triple of edges, or None when no such crossing exists.
     """
-    lift = _windowed_lift(classes, k)
-    orbit = set(_windowed_lift([doubled], k)) & set(lift)
-    adjacency = {
-        e: {f for f in lift if f != e and cover_crosses(e, f)} for e in lift
-    }
-    for anchor in sorted(orbit):
-        candidates = sorted(adjacency[anchor] - orbit)
-        for g, h in itertools.combinations(candidates, 2):
-            if h in adjacency[g]:
-                return (anchor, g, h)
+    if k != 2:
+        raise LengthPrecondition(f"the translation lemma is stated for k=2, got k={k}")
+    universe = lift_universe(n, k)
+    lift = universe.lift(universe.indices(classes))
+    orbit = universe.lift(universe.indices([doubled])) & lift
+    adj, edges = universe.adj, universe.edges
+    for anchor in _bits(orbit):
+        candidates = adj[anchor] & lift & ~orbit
+        for g in _bits(candidates):
+            for h in _bits(candidates & adj[g] & -(2 << g)):  # bits above g
+                return (edges[anchor], edges[g], edges[h])
     return None
 
 
@@ -248,6 +241,8 @@ def check_translation_lemma(n: int, k: int) -> dict:
         raise LengthPrecondition(f"the translation lemma is stated for k=2, got k={k}")
     _budget_gate(n, k)
     surface = cylinder(n, k)
+    universe = lift_universe(n, k)
+    adj, edges = universe.adj, universe.edges
     sets_checked = vacuous = triples = held = 0
     failures = []
     for idx, t in enumerate(enumerate_cylinder(surface)):
@@ -255,36 +250,24 @@ def check_translation_lemma(n: int, k: int) -> dict:
         for extra in absent:
             sets_checked += 1
             classes = list(t.classes) + [extra]
-            lift = _windowed_lift(classes, k)
-            adjacency = {
-                e: {f for f in lift if f != e and cover_crosses(e, f)} for e in lift
-            }
-            qualifying = []
-            for c in classes:
-                if c.length <= n:
-                    continue
-                for s in window_translations(k):
-                    e1, e2 = c.translate(s), c.translate(s + 1)
-                    if e2 not in adjacency.get(e1, ()):
-                        continue
-                    for third in sorted(adjacency[e1] & adjacency[e2]):
-                        qualifying.append((c, e1, e2, third))
+            lift = universe.lift(universe.indices(classes))
+            qualifying = [
+                (c, edges[p1], edges[p2], edges[third])
+                for c in classes if c.length > n
+                for p1, p2 in itertools.pairwise(_bits(universe.translates[universe.index[c]]))
+                if adj[p1] >> p2 & 1
+                for third in _bits(adj[p1] & adj[p2] & lift)
+            ]
             if not qualifying:
                 vacuous += 1
                 continue
-            replacements = {}
             for (c, e1, e2, third) in qualifying:
                 triples += 1
-                if c not in replacements:
-                    replacements[c] = find_single_translate_replacement(
-                        classes, c, n, k)
-                if replacements[c] is not None:
+                if find_single_translate_replacement(classes, c, n, k) is not None:
                     held += 1
                 else:
                     def still_fails(subset, c=c):
-                        if c not in subset:
-                            return False
-                        return find_single_translate_replacement(
+                        return c in subset and find_single_translate_replacement(
                             subset, c, n, k) is None
 
                     minimal = minimize_witness(classes, still_fails)

@@ -19,11 +19,9 @@ from .surfaces import (
     Edge,
     EdgeClass,
     SurfaceDesc,
-    cover_crosses,
     cyclically_ordered,
     edge_class_of,
-    has_clique,
-    is_periodic_crossing_free,
+    lift_universe,
     window_translations,
 )
 
@@ -88,11 +86,8 @@ def expected_class_count(n: int, k: int) -> int:
 def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[CylinderTriangulation]:
     """All k-triangulations on C_n, canonically sorted.
 
-    Backtracking over the k-relevant classes.  Crossing checks run on a
-    window of the lift: a new (k+1)-crossing forced by adding a class
-    always has a shifted copy through the class representative, with the
-    other edges within k periods, so window translates of the candidate
-    classes form a complete search universe.
+    Backtracking over the k-relevant classes of `lift_universe`, keeping
+    the lift of the chosen classes and of the still possible ones as masks.
     """
     if surface.kind != CYLINDER:
         raise ValueError("enumerate_cylinder needs a cylinder surface")
@@ -103,29 +98,8 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
             f"cylinder enumeration budget is n <= {limit} for k={k}, got n={n}")
 
     shorts = sorted(short_classes(n, k))
-    cands = sorted(relevant_class_candidates(n, k))
-    trans = list(window_translations(k))
-    pos = {}
-    uedges = []
-    for i in range(len(cands)):
-        for t in trans:
-            pos[i, t] = len(uedges)
-            uedges.append(cands[i].translate(t))
-    universe = len(uedges)
-    uadj = [0] * universe
-    for p, q in itertools.combinations(range(universe), 2):
-        if cover_crosses(uedges[p], uedges[q]):
-            uadj[p] |= 1 << q
-            uadj[q] |= 1 << p
-    tmask = [0] * len(cands)
-    for (i, t), p in pos.items():
-        tmask[i] |= 1 << p
-    crossrep = [uadj[pos[i, 0]] for i in range(len(cands))]
-
-    def blocked(i: int, lift_mask: int) -> bool:
-        # Would adding class i complete a (k+1)-crossing through its rep?
-        return has_clique(uadj, k, within=crossrep[i] & (lift_mask | tmask[i]))
-
+    universe = lift_universe(n, k)
+    cands, tmask, blocked = universe.classes, universe.translates, universe.blocked
     results: list[tuple[EdgeClass, ...]] = []
 
     def rec(i: int, chosen: list[int], lift_mask: int, pot_mask: int):
@@ -140,7 +114,7 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
         if blocked(i, pot_mask):
             rec(i + 1, chosen, lift_mask, pot_mask & ~tmask[i])
 
-    rec(0, [], 0, (1 << universe) - 1)
+    rec(0, [], 0, universe.lift(range(len(cands))))
     return [CylinderTriangulation(surface, cs) for cs in sorted(results)]
 
 
@@ -158,14 +132,11 @@ def validate_cylinder_triangulation(t: CylinderTriangulation):
     missing = set(short_classes(n, k)) - classes
     if missing:
         raise StructureViolation(f"classes of length <= {k} missing: {sorted(missing)}")
-    ordered = tuple(sorted(classes))
-    if not is_periodic_crossing_free(ordered, k, n):
+    report = check_maximal_lifting(t)
+    if not report["crossing_free"]:
         raise StructureViolation(f"lift contains a {k + 1}-crossing")
-    for c in relevant_class_candidates(n, k):
-        if c in classes:
-            continue
-        if is_periodic_crossing_free(tuple(sorted(classes | {c})), k, n):
-            raise StructureViolation(f"not maximal: class {c} is addable")
+    if report["addable"]:
+        raise StructureViolation(f"not maximal: class {report['addable'][0]} is addable")
 
 
 def unique_spanning_class(t: CylinderTriangulation) -> EdgeClass:
@@ -279,26 +250,30 @@ def stars_of(t: CylinderTriangulation) -> list[KStar]:
 
 
 def check_maximal_lifting(t: CylinderTriangulation) -> dict:
-    """Confirm every absent class is blocked by a crossing; report-valued.
+    """Confirm the lift is crossing-free and every absent class is blocked by
+    a crossing; report-valued.
 
-    For a genuine triangulation the addable list comes back empty; a
-    nonempty list exhibits witnesses that t is not maximal.
+    For a genuine triangulation the addable list comes back empty; otherwise
+    it lists the absent classes (shorts first, then in candidate order) that
+    keep a crossing-free lift crossing-free, witnessing that t is not maximal.
     """
     n, k = t.surface.n, t.surface.k
     classes = t.class_set()
-    checked = 0
-    addable = []
-    for c in short_classes(n, k) + relevant_class_candidates(n, k):
-        if c in classes:
-            continue
-        checked += 1
-        if is_periodic_crossing_free(tuple(sorted(classes | {c})), k, n):
-            addable.append(c)
+    universe = lift_universe(n, k)
+    chosen = universe.indices(classes)
+    crossing_free = universe.crossing_free(chosen)
+    lift = universe.lift(chosen)
+    absent = [c for c in short_classes(n, k) + relevant_class_candidates(n, k)
+              if c not in classes]
+    # "c is addable iff short or not blocked" needs t's lift crossing-free.
+    addable = [c for c in absent if crossing_free and (
+        c.length <= k or not universe.blocked(universe.index[c], lift))]
     return {
         "n": n,
         "k": k,
-        "checked": checked,
+        "checked": len(absent),
+        "crossing_free": crossing_free,
         "addable": addable,
         "violations": list(addable),
-        "ok": not addable,
+        "ok": crossing_free and not addable,
     }

@@ -4,8 +4,8 @@ Two pictures coexist.  On the convex polygon the vertices are the residues
 0..n-1 in counterclockwise order and crossing means cyclic interleaving of
 endpoints.  On the half-cylinder everything is drawn on the universal cover,
 an infinite strip with one integer vertex per unit; an edge class is the set
-of translates of a cover edge by multiples of n, and crossing questions are
-answered on a finite window of translates.
+of translates of a cover edge by multiples of n.  Crossing questions about
+classes are answered by `lift_universe`.
 
 The cyclic order used on the cover treats the strip as a circle closed by a
 single point at infinity: a tuple of distinct integers is cyclically ordered
@@ -14,6 +14,7 @@ iff some rotation of it is strictly increasing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import EdgeTooLong
@@ -191,47 +192,87 @@ def has_k_plus_1_crossing(edges, k: int, surface: SurfaceDesc) -> bool:
 
 
 def window_translations(k: int) -> range:
-    """Translation indices used when truncating the infinite lift."""
+    """Translation indices of the lift window of `lift_universe`."""
     return range(-(2 * k + 1), 2 * k + 2)
 
 
-def periodic_crossing_window(classes, k: int, n: int) -> set[Edge]:
-    """A finite truncation of the lift that is wide enough for crossing tests.
+class LiftUniverse:
+    """Window translates of the k-relevant classes of C_n, as bits in edge order.
 
-    Every member of a pairwise-crossing family of edges of length <= kn has
-    its left endpoint within kn of any fixed member's, so translates t in
-    [-(2k+1), 2k+1] of canonical representatives cover every crossing that
-    touches a representative.  The doubled-window property test backs this up.
+    Bit p is `edges[p]` (sorted) and `adj[p]` marks the edges crossing it.
+    Class `classes[i]` (sorted, `index` inverts it) owns the bits
+    `translates[i]`, and `through_rep[i]` marks the edges crossing its
+    representative.
     """
-    for c in classes:
-        if c.length > k * n:
-            raise EdgeTooLong(
-                f"class {c} has length {c.length} > k*n = {k * n}")
-    return {c.translate(t) for c in classes for t in window_translations(k)}
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.classes = [EdgeClass(Edge(a, b), n)
+                        for a in range(n) for b in range(a + k + 1, a + k * n + 1)]
+        self.index = {c: i for i, c in enumerate(self.classes)}
+        self.edges = sorted(c.translate(t) for c in self.classes for t in window_translations(k))
+        self.adj = [0] * len(self.edges)
+        self.translates = [0] * len(self.classes)
+        for p, e in enumerate(self.edges):
+            self.translates[self.index[edge_class_of(e, n)]] |= 1 << p
+            for q in range(p + 1, len(self.edges)):
+                if self.edges[q].a >= e.b:
+                    break
+                if cover_crosses(e, self.edges[q]):
+                    self.adj[p] |= 1 << q
+                    self.adj[q] |= 1 << p
+        # The representatives are the edges starting in [0, n), in class order.
+        self.through_rep = [self.adj[p] for p, e in enumerate(self.edges) if 0 <= e.a < n]
+
+    def indices(self, classes) -> list[int]:
+        """Indices of the classes longer than k; shorter ones never cross."""
+        found = []
+        for c in classes:
+            if c.length > self.k * self.n:
+                raise EdgeTooLong(f"class {c} has length {c.length} > k*n = {self.k * self.n}")
+            if c.n != self.n:
+                raise ValueError(f"class {c} has period {c.n}, expected {self.n}")
+            if c.length > self.k:
+                found.append(self.index[c])
+        return found
+
+    def lift(self, indices) -> int:
+        """The mask of every window translate of the given classes."""
+        mask = 0
+        for i in indices:
+            mask |= self.translates[i]
+        return mask
+
+    def blocked(self, i: int, mask: int) -> bool:
+        """Does class i with the lift `mask` make a (k+1)-crossing through its rep?"""
+        return has_clique(self.adj, self.k,
+                          within=self.through_rep[i] & (mask | self.translates[i]))
+
+    def crossing_free(self, indices) -> bool:
+        """Is the lift of the given classes free of (k+1)-crossings?"""
+        mask = self.lift(indices)
+        return not any(self.blocked(i, mask) for i in indices)
 
 
-def is_periodic_crossing_free(classes, k: int, n: int, radius: int | None = None) -> bool:
-    """Is the lifted edge set free of (k+1)-crossings?
+@functools.cache
+def lift_universe(n: int, k: int) -> LiftUniverse:
+    """The crossing universe of C_n at order k, built once per (n, k) and
+    shared by every caller, so read-only.
 
-    By translation invariance a crossing exists iff one exists containing an
-    edge whose left endpoint lies in [0, n), so only those are used as
-    anchors.  `radius` widens the translation window (test hook only).
+    Why a finite window decides crossings on the infinite lift: an edge
+    crossing a cover edge [a, b] of length at most kn starts in (a - kn, b).
+    Translate a (k+1)-crossing of a periodic edge set so that one member is
+    a class representative, starting in [0, n); every member then starts in
+    (-kn, (k+1)n), so it is a translate t in [-k, k] of its representative,
+    inside `window_translations`.  So a set of classes lifts crossing-free
+    iff no representative is `blocked`.  If the set is crossing-free, a crossing
+    made by adding one class uses a translate of it, which may be taken to
+    be its representative, so `blocked` alone decides addability.
     """
-    classes = list(classes)
-    for c in classes:
-        if c.length > k * n:
-            raise EdgeTooLong(
-                f"class {c} has length {c.length} > k*n = {k * n}")
-    ts = window_translations(k) if radius is None else range(-radius, radius + 1)
-    window = sorted({c.translate(t) for c in classes for t in ts})
-    longs = [e for e in window if e.length > k]
-    adj = [0] * len(longs)
-    for i, e in enumerate(longs):
-        for j in range(i + 1, len(longs)):
-            if cover_crosses(e, longs[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    for i, e in enumerate(longs):
-        if 0 <= e.a < n and has_clique(adj, k, within=adj[i]):
-            return False
-    return True
+    return LiftUniverse(n, k)
+
+
+def is_periodic_crossing_free(classes, k: int, n: int) -> bool:
+    """Is the lift of the edge classes free of (k+1)-crossings?"""
+    universe = lift_universe(n, k)
+    return universe.crossing_free(universe.indices(classes))

@@ -75,16 +75,24 @@ def test_counts_worked_examples():
 
 
 def test_translation_lemma_control():
+    # (sets_checked, vacuous_sets, triples_checked, triples_held), frozen
+    # from the dict-adjacency implementation
+    counters = {2: (8, 0, 312, 312), 3: (288, 36, 13544, 13544)}
     for n in (2, 3):
         rep = check_translation_lemma(n, 2)
         assert rep["holds"]
         assert rep["triples_checked"] == rep["triples_held"]
         assert rep["failures"] == []
+        assert (rep["sets_checked"], rep["vacuous_sets"], rep["triples_checked"],
+                rep["triples_held"]) == counters[n]
 
 
 def test_translation_lemma_k2_only():
     with pytest.raises(LengthPrecondition):
         check_translation_lemma(2, 3)
+    c = edge_class_of(Edge(0, 6), 2)
+    with pytest.raises(LengthPrecondition):
+        find_single_translate_replacement([c], c, 2, 3)
 
 
 def test_translation_lemma_synthetic_example():

@@ -114,7 +114,8 @@ def test_periodic_crossing_freeness():
     good = shorts + [edge_class_of(Edge(0, 3), 3), edge_class_of(Edge(1, 4), 3),
                      edge_class_of(Edge(1, 6), 3), edge_class_of(Edge(0, 6), 3)]
     assert is_periodic_crossing_free(good, 2, 3)
-    # three mutual translates of one long class always 3-cross
+    # one class of length 5 on C_3 is crossing-free: its translates
+    # [0,5] and [6,11] do not cross, so no three of them pairwise cross
     fan = [edge_class_of(Edge(0, 5), 3)]
     assert is_periodic_crossing_free(fan, 2, 3)
     bad = good + [edge_class_of(Edge(2, 7), 3)]
