@@ -22,7 +22,7 @@ from .cylinder import (
 )
 from .errors import LengthPrecondition, NotPeriodic, StructureViolation, TooLarge
 from .polygon import enumerate_shift_invariant, make_star
-from .surfaces import EdgeClass, cylinder, lift_universe, polygon
+from .surfaces import EdgeClass, bits, cylinder, lift_universe, polygon
 
 
 def _budget_gate(n: int, k: int) -> None:
@@ -116,7 +116,12 @@ def check_star_decomposition_k(n: int, k: int) -> dict:
 
 
 def check_bijection_k(n: int, k: int) -> dict:
-    """Compare the cylinder enumeration with the shift-invariant polygon one."""
+    """Compare the cylinder enumeration with the shift-invariant polygon one.
+
+    Both sides run the search of `CrossingUniverse.maximal_sets`, so their
+    agreement does not check it; the closed-form counts C(2n-2, n-1)^k frozen
+    in the tests remain the independent check.
+    """
     _budget_gate(n, k)
     m = 2 * k * n
     cyl = enumerate_cylinder(cylinder(n, k))
@@ -204,13 +209,6 @@ def check_counts_k(n: int, k: int) -> dict:
     }
 
 
-def _bits(mask: int):
-    """The set bits of a mask, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def find_single_translate_replacement(classes, doubled: EdgeClass, n: int, k: int):
     """A 3-crossing in the windowed lift using exactly one translate of `doubled`.
 
@@ -222,10 +220,10 @@ def find_single_translate_replacement(classes, doubled: EdgeClass, n: int, k: in
     lift = universe.lift(universe.indices(classes))
     orbit = universe.lift(universe.indices([doubled])) & lift
     adj, edges = universe.adj, universe.edges
-    for anchor in _bits(orbit):
+    for anchor in bits(orbit):
         candidates = adj[anchor] & lift & ~orbit
-        for g in _bits(candidates):
-            for h in _bits(candidates & adj[g] & -(2 << g)):  # bits above g
+        for g in bits(candidates):
+            for h in bits(candidates & adj[g] & -(2 << g)):  # bits above g
                 return (edges[anchor], edges[g], edges[h])
     return None
 
@@ -254,9 +252,9 @@ def check_translation_lemma(n: int, k: int) -> dict:
             qualifying = [
                 (c, edges[p1], edges[p2], edges[third])
                 for c in classes if c.length > n
-                for p1, p2 in itertools.pairwise(_bits(universe.translates[universe.index[c]]))
+                for p1, p2 in itertools.pairwise(bits(universe.translates[universe.index[c]]))
                 if adj[p1] >> p2 & 1
-                for third in _bits(adj[p1] & adj[p2] & lift)
+                for third in bits(adj[p1] & adj[p2] & lift)
             ]
             if not qualifying:
                 vacuous += 1

@@ -19,6 +19,7 @@ from .surfaces import (
     Edge,
     EdgeClass,
     SurfaceDesc,
+    bits,
     cyclically_ordered,
     edge_class_of,
     lift_universe,
@@ -86,8 +87,8 @@ def expected_class_count(n: int, k: int) -> int:
 def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[CylinderTriangulation]:
     """All k-triangulations on C_n, canonically sorted.
 
-    Backtracking over the k-relevant classes of `lift_universe`, keeping
-    the lift of the chosen classes and of the still possible ones as masks.
+    The maximal sets of `CrossingUniverse.maximal_sets` over the k-relevant
+    classes of `lift_universe`.
     """
     if surface.kind != CYLINDER:
         raise ValueError("enumerate_cylinder needs a cylinder surface")
@@ -96,26 +97,10 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
     if n > limit:
         raise TooLarge(
             f"cylinder enumeration budget is n <= {limit} for k={k}, got n={n}")
-
-    shorts = sorted(short_classes(n, k))
-    universe = lift_universe(n, k)
-    cands, tmask, blocked = universe.classes, universe.translates, universe.blocked
-    results: list[tuple[EdgeClass, ...]] = []
-
-    def rec(i: int, chosen: list[int], lift_mask: int, pot_mask: int):
-        if i == len(cands):
-            if all(blocked(j, lift_mask) for j in range(len(cands)) if j not in chosen):
-                results.append(tuple(sorted(shorts + [cands[j] for j in chosen])))
-            return
-        if not blocked(i, lift_mask):
-            chosen.append(i)
-            rec(i + 1, chosen, lift_mask | tmask[i], pot_mask)
-            chosen.pop()
-        if blocked(i, pot_mask):
-            rec(i + 1, chosen, lift_mask, pot_mask & ~tmask[i])
-
-    rec(0, [], 0, universe.lift(range(len(cands))))
-    return [CylinderTriangulation(surface, cs) for cs in sorted(results)]
+    universe, shorts = lift_universe(n, k), short_classes(n, k)
+    found = [tuple(sorted(shorts + [universe.classes[i] for i in bits(picked)]))
+             for picked in universe.maximal_sets()]
+    return [CylinderTriangulation(surface, cs) for cs in sorted(found)]
 
 
 def validate_cylinder_triangulation(t: CylinderTriangulation):

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .errors import NotInTriangulation, NotRelevant, StructureViolation, TooLarge
 from .surfaces import (
     POLYGON,
+    CrossingUniverse,
     Edge,
     SurfaceDesc,
-    crosses,
+    bits,
     cyclic_length,
     cyclically_ordered,
-    has_clique,
     has_k_plus_1_crossing,
 )
 
@@ -92,11 +92,8 @@ def expected_edge_count(n: int, k: int) -> int:
 def enumerate_polygon(surface: SurfaceDesc, max_n: int | None = None) -> list[PolygonTriangulation]:
     """All k-triangulations of the n-gon, canonically sorted, no duplicates.
 
-    Backtracking over the k-relevant edges in lexicographic order.  A branch
-    that includes an edge is cut as soon as the edge completes a
-    (k+1)-crossing; a branch that excludes one is cut when no future
-    completion could block that edge, since the result could never be
-    maximal.  Leaves are checked for maximality edge by edge.
+    The maximal sets of `CrossingUniverse.maximal_sets` over the single
+    k-relevant edges.
     """
     if surface.kind != POLYGON:
         raise ValueError("enumerate_polygon needs a polygon surface")
@@ -105,42 +102,25 @@ def enumerate_polygon(surface: SurfaceDesc, max_n: int | None = None) -> list[Po
     if n > limit:
         raise TooLarge(
             f"polygon enumeration budget is n <= {limit} for k={k}, got n={n}")
+    return _rotation_invariant(surface, n)
 
+
+def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangulation]:
+    """The k-triangulations invariant under rotation by `shift`, a divisor of
+    n, found over the orbits of the k-relevant edges; shift n gives single
+    edges."""
+    n, k = surface.n, surface.k
+
+    def orbit(e: Edge) -> tuple[Edge, ...]:
+        return tuple(sorted({Edge((e.a + d) % n, (e.b + d) % n)
+                             for d in range(0, n, abs(shift))}))
+
+    orbits = sorted({orbit(e) for e in relevant_candidates(n, k)})
+    universe = CrossingUniverse(k, orbits, own_blocks=False)
     shorts = sorted(short_edges(n, k))
-    cands = relevant_candidates(n, k)
-    m = len(cands)
-    adj = [0] * m
-    for i, e in enumerate(cands):
-        for j in range(i + 1, m):
-            if crosses(e, cands[j], surface):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
-    results: list[tuple[Edge, ...]] = []
-    full = (1 << m) - 1
-
-    def emit(chosen: int):
-        picked = [cands[i] for i in range(m) if chosen >> i & 1]
-        results.append(tuple(sorted(shorts + picked)))
-
-    def rec(i: int, chosen: int, potential: int):
-        if i == m:
-            rest = full & ~chosen
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if not has_clique(adj, k, within=adj[j] & chosen):
-                    return
-            emit(chosen)
-            return
-        bit = 1 << i
-        if not has_clique(adj, k, within=adj[i] & chosen):
-            rec(i + 1, chosen | bit, potential)
-        if has_clique(adj, k, within=adj[i] & potential & ~bit):
-            rec(i + 1, chosen, potential & ~bit)
-
-    rec(0, 0, full)
-    return [PolygonTriangulation(surface, edges) for edges in sorted(results)]
+    found = [tuple(sorted(shorts + [universe.edges[p] for p in bits(universe.lift(bits(picked)))]))
+             for picked in universe.maximal_sets()]
+    return [PolygonTriangulation(surface, edges) for edges in sorted(found)]
 
 
 def validate_polygon_triangulation(t: PolygonTriangulation):
@@ -246,52 +226,13 @@ def is_shift_invariant(t: PolygonTriangulation, shift: int) -> bool:
 def enumerate_shift_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangulation]:
     """All k-triangulations invariant under vertex rotation by `shift`.
 
-    Independent of enumerate_polygon: candidates are whole rotation orbits of
-    relevant edges, and far fewer of them, which keeps gons of size beyond
-    the plain enumeration budget reachable.  Maximality at the leaves is
-    still checked against single absent edges.
+    The same search as enumerate_polygon, over whole rotation orbits of
+    relevant edges; there are far fewer of them, which keeps gons of size
+    beyond the plain enumeration budget reachable.  Maximality is still
+    checked against single absent edges.
     """
     if surface.kind != POLYGON:
         raise ValueError("enumerate_shift_invariant needs a polygon surface")
-    n, k = surface.n, surface.k
-    if n % shift:
-        raise ValueError(f"shift {shift} does not divide {n}")
-
-    def rotate(e: Edge, d: int) -> Edge:
-        return Edge(*sorted(((e.a + d) % n, (e.b + d) % n)))
-
-    orbits: list[tuple[Edge, ...]] = []
-    seen: set[Edge] = set()
-    for e in relevant_candidates(n, k):
-        if e in seen:
-            continue
-        orbit = []
-        x = e
-        while x not in orbit:
-            orbit.append(x)
-            x = rotate(x, shift)
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-
-    shorts = sorted(short_edges(n, k))
-    longs_of = [frozenset(o) for o in orbits]
-    results: list[tuple[Edge, ...]] = []
-
-    def rec(i: int, chosen: list[frozenset[Edge]]):
-        if i == len(orbits):
-            edges = frozenset().union(*chosen) if chosen else frozenset()
-            all_e = edges | set(shorts)
-            for g in relevant_candidates(n, k):
-                if g in edges:
-                    continue
-                if not has_k_plus_1_crossing(all_e | {g}, k, surface):
-                    return
-            results.append(tuple(sorted(all_e)))
-            return
-        trial = chosen + [longs_of[i]]
-        if not has_k_plus_1_crossing(frozenset().union(*trial), k, surface):
-            rec(i + 1, trial)
-        rec(i + 1, chosen)
-
-    rec(0, [])
-    return [PolygonTriangulation(surface, edges) for edges in sorted(results)]
+    if shift == 0 or surface.n % shift:
+        raise ValueError(f"shift {shift} does not divide {surface.n}")
+    return _rotation_invariant(surface, shift)

@@ -144,6 +144,13 @@ def cover_crosses(e: Edge, f: Edge) -> bool:
     return e.a < f.a < e.b < f.b or f.a < e.a < f.b < e.b
 
 
+def bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def has_clique(adj: list[int], size: int, within: int | None = None) -> bool:
     """Is there a clique of the given size in the graph given by bitmask rows?
 
@@ -196,33 +203,107 @@ def window_translations(k: int) -> range:
     return range(-(2 * k + 1), 2 * k + 2)
 
 
-class LiftUniverse:
-    """Window translates of the k-relevant classes of C_n, as bits in edge order.
+class CrossingUniverse:
+    """Edges as bits in edge order, in groups that are chosen together.
 
     Bit p is `edges[p]` (sorted) and `adj[p]` marks the edges crossing it.
-    Class `classes[i]` (sorted, `index` inverts it) owns the bits
-    `translates[i]`, and `through_rep[i]` marks the edges crossing its
-    representative.
+    Group i owns the bits `members[i]`, and `through_rep[i]` marks the edges
+    crossing its representative, the first edge listed for it.
     """
 
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-        self.classes = [EdgeClass(Edge(a, b), n)
-                        for a in range(n) for b in range(a + k + 1, a + k * n + 1)]
-        self.index = {c: i for i, c in enumerate(self.classes)}
-        self.edges = sorted(c.translate(t) for c in self.classes for t in window_translations(k))
+    def __init__(self, k: int, groups, own_blocks: bool):
+        self.k, self.own_blocks = k, own_blocks
+        self.edges = sorted(e for group in groups for e in group)
+        position = {e: p for p, e in enumerate(self.edges)}
         self.adj = [0] * len(self.edges)
-        self.translates = [0] * len(self.classes)
         for p, e in enumerate(self.edges):
-            self.translates[self.index[edge_class_of(e, n)]] |= 1 << p
             for q in range(p + 1, len(self.edges)):
                 if self.edges[q].a >= e.b:
                     break
                 if cover_crosses(e, self.edges[q]):
                     self.adj[p] |= 1 << q
                     self.adj[q] |= 1 << p
-        # The representatives are the edges starting in [0, n), in class order.
-        self.through_rep = [self.adj[p] for p, e in enumerate(self.edges) if 0 <= e.a < n]
+        self.members = [sum(1 << position[e] for e in group) for group in groups]
+        self.through_rep = [self.adj[position[group[0]]] for group in groups]
+
+    def lift(self, indices) -> int:
+        """The mask of every member of the given groups."""
+        mask = 0
+        for i in indices:
+            mask |= self.members[i]
+        return mask
+
+    def blocked(self, i: int, mask: int) -> bool:
+        """Does group i with the edges `mask` make a (k+1)-crossing through its rep?"""
+        return has_clique(self.adj, self.k,
+                          within=self.through_rep[i] & (mask | self.members[i]))
+
+    def crossing_free(self, indices) -> bool:
+        """Is the union of the given groups free of (k+1)-crossings?"""
+        mask = self.lift(indices)
+        return not any(self.blocked(i, mask) for i in indices)
+
+    def maximal_sets(self) -> list[int]:
+        """Every maximal (k+1)-crossing-free union of groups, as a mask of
+        group indices.
+
+        A depth-first search decides the groups in index order, including
+        and then excluding each, and keeps the masks of the chosen members
+        and of the still possible ones (chosen or undecided).
+        - Including a group is cut when it is `blocked` by the chosen
+          members.  That finds every new crossing: the chosen union is
+          crossing-free and, like each group, invariant under the symmetry
+          forming the groups (rotation on the polygon, translation on the
+          cover), so a new crossing can be moved onto the representative.
+        - Excluding a group is cut when the still possible members cannot
+          block it in the leaf test, since no leaf below is then maximal.
+        - At a leaf every absent group must be blocked by a k-clique of
+          chosen edges crossing its representative.  With `own_blocks` (the
+          cylinder) the group's own members count too, so a class is addable
+          iff the lift stays crossing-free with all its translates.  Without
+          (the polygon) maximality stays edge by edge: a rotation-invariant
+          set is kept only when no single absent edge can be added, which
+          keeps the lab's k=3 bijection check meaningful against the
+          class-maximal cylinder side.
+        Every node calls `has_clique` through this module's global.
+        """
+        k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
+        own = members if self.own_blocks else [0] * len(members)
+        size = len(members)
+        found: list[int] = []
+
+        def rec(i: int, picked: int, lift: int, possible: int):
+            if i == size:
+                for j in range(size):
+                    if not lift & members[j] and not has_clique(
+                            adj, k, within=rows[j] & (lift | own[j])):
+                        return
+                found.append(picked)
+                return
+            group = members[i]
+            if not has_clique(adj, k, within=rows[i] & (lift | group)):
+                rec(i + 1, picked | 1 << i, lift | group, possible)
+            possible &= ~group
+            if has_clique(adj, k, within=rows[i] & (possible | own[i])):
+                rec(i + 1, picked, lift, possible)
+
+        rec(0, 0, 0, self.lift(range(size)))
+        return found
+
+
+class LiftUniverse(CrossingUniverse):
+    """The window translates of the k-relevant classes of C_n: class
+    `classes[i]` (sorted, `index` inverts it) owns the bits `translates[i]`."""
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.classes = [EdgeClass(Edge(a, b), n)
+                        for a in range(n) for b in range(a + k + 1, a + k * n + 1)]
+        self.index = {c: i for i, c in enumerate(self.classes)}
+        window = sorted(window_translations(k), key=abs)  # the rep first
+        super().__init__(k, [[c.translate(t) for t in window] for c in self.classes],
+                         own_blocks=True)
+        self.translates = self.members
 
     def indices(self, classes) -> list[int]:
         """Indices of the classes longer than k; shorter ones never cross."""
@@ -235,23 +316,6 @@ class LiftUniverse:
             if c.length > self.k:
                 found.append(self.index[c])
         return found
-
-    def lift(self, indices) -> int:
-        """The mask of every window translate of the given classes."""
-        mask = 0
-        for i in indices:
-            mask |= self.translates[i]
-        return mask
-
-    def blocked(self, i: int, mask: int) -> bool:
-        """Does class i with the lift `mask` make a (k+1)-crossing through its rep?"""
-        return has_clique(self.adj, self.k,
-                          within=self.through_rep[i] & (mask | self.translates[i]))
-
-    def crossing_free(self, indices) -> bool:
-        """Is the lift of the given classes free of (k+1)-crossings?"""
-        mask = self.lift(indices)
-        return not any(self.blocked(i, mask) for i in indices)
 
 
 @functools.cache

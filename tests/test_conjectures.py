@@ -150,3 +150,11 @@ def test_budget_gates():
         check_star_decomposition_k(4, 3)
     with pytest.raises(TooLarge):
         check_counts_k(12, 2)
+
+
+def test_bijection_k3_n3_report():
+    # Regression literal from the frozenset shift-invariant search, not a
+    # claim about the k=3 conjecture.
+    rep = check_bijection_k(3, 3)
+    assert rep["cylinder_count"] == rep["periodic_polygon_count"] == 216
+    assert rep["holds"]

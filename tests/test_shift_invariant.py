@@ -1,0 +1,99 @@
+"""Rotation-invariant polygon enumeration against a frozenset oracle.
+
+`oracle_shift_invariant` is a direct search over rotation orbits: it unions
+frozensets of edges, tests each partial set with `has_k_plus_1_crossing`
+and checks maximality against single absent edges, with no pruning of
+excluded orbits.  `enumerate_shift_invariant` runs the shared bitmask
+search of `CrossingUniverse.maximal_sets` and must return the same list.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from multitri import (
+    Edge,
+    PolygonTriangulation,
+    SurfaceDesc,
+    enumerate_shift_invariant,
+    has_k_plus_1_crossing,
+    polygon,
+    relevant_candidates,
+    short_edges,
+)
+from multitri.surfaces import POLYGON
+
+
+def oracle_shift_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangulation]:
+    """All k-triangulations invariant under vertex rotation by `shift`.
+
+    Candidates are whole rotation orbits of relevant edges.  Maximality at
+    the leaves is checked against single absent edges.
+    """
+    if surface.kind != POLYGON:
+        raise ValueError("enumerate_shift_invariant needs a polygon surface")
+    n, k = surface.n, surface.k
+    if n % shift:
+        raise ValueError(f"shift {shift} does not divide {n}")
+
+    def rotate(e: Edge, d: int) -> Edge:
+        return Edge(*sorted(((e.a + d) % n, (e.b + d) % n)))
+
+    orbits: list[tuple[Edge, ...]] = []
+    seen: set[Edge] = set()
+    for e in relevant_candidates(n, k):
+        if e in seen:
+            continue
+        orbit = []
+        x = e
+        while x not in orbit:
+            orbit.append(x)
+            x = rotate(x, shift)
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+
+    shorts = sorted(short_edges(n, k))
+    longs_of = [frozenset(o) for o in orbits]
+    results: list[tuple[Edge, ...]] = []
+
+    def rec(i: int, chosen: list[frozenset[Edge]]):
+        if i == len(orbits):
+            edges = frozenset().union(*chosen) if chosen else frozenset()
+            all_e = edges | set(shorts)
+            for g in relevant_candidates(n, k):
+                if g in edges:
+                    continue
+                if not has_k_plus_1_crossing(all_e | {g}, k, surface):
+                    return
+            results.append(tuple(sorted(all_e)))
+            return
+        trial = chosen + [longs_of[i]]
+        if not has_k_plus_1_crossing(frozenset().union(*trial), k, surface):
+            rec(i + 1, trial)
+        rec(i + 1, chosen)
+
+    rec(0, [])
+    return [PolygonTriangulation(surface, edges) for edges in sorted(results)]
+
+
+# (m, k, shift) and the number of invariant k-triangulations of the m-gon.
+ORACLE_CASES = {
+    (8, 1, 4): 20, (9, 1, 3): 6, (10, 1, 5): 70, (12, 1, 4): 20, (12, 1, 6): 252,
+    (8, 2, 2): 4, (8, 2, 4): 20, (9, 2, 3): 0, (10, 2, 5): 175, (12, 2, 3): 36,
+    (12, 2, 4): 0, (12, 3, 2): 8, (12, 3, 4): 40,
+}
+
+
+@pytest.mark.parametrize("m,k,shift", sorted(ORACLE_CASES))
+def test_matches_frozenset_oracle(m, k, shift):
+    found = enumerate_shift_invariant(polygon(m, k), shift)
+    assert len(found) == ORACLE_CASES[m, k, shift]
+    assert found == oracle_shift_invariant(polygon(m, k), shift)
+
+
+def test_shift_must_divide_n():
+    for shift in (0, 5, -5):
+        with pytest.raises(ValueError, match="does not divide"):
+            enumerate_shift_invariant(polygon(12, 2), shift)
+    assert enumerate_shift_invariant(polygon(12, 2), -3) == enumerate_shift_invariant(
+        polygon(12, 2), 3)
