@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .bijection import class_of_polygon_edge, orbit_of_class, phi
+from .bijection import PeriodicPolygonTriangulation, class_of_polygon_edge, orbit_of_class, phi
 from .cylinder import (
     ENUMERATION_BUDGET,
     CylinderTriangulation,
@@ -38,20 +38,18 @@ from .surfaces import Edge, EdgeClass, cylinder, edge_class_of
 FLIP_GRAPH_BUDGET = 5
 
 
-def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
+def _flip_via_stars(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClass:
     """Flip through the periodic polygon: bisector of the two holder stars."""
-    n, k = t.surface.n, t.surface.k
-    p = phi(t)
+    n, k = p.period, p.inner.surface.k
     rep = Edge(e.rep.a, e.rep.b)
     _, f = polygon_flip(p.inner, rep)
     return class_of_polygon_edge(f, n, k)
 
 
-def _flip_via_chevron(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
+def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClass:
     """Flip through the chevron: the pipes bumping at a representative cross once."""
-    n, k = t.surface.n, t.surface.k
+    n, k = p.period, p.inner.surface.k
     m = 2 * k * n
-    p = phi(t)
     dream = chevron_from_staircase(staircase_from_triangulation(p.inner))
     orbit = set(orbit_of_class(e, k))
     cells = sorted(rc for rc in dream.tiles if cell_edge(*rc, m) in orbit)
@@ -80,8 +78,9 @@ def _flip_via_chevron(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
 def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangulation, EdgeClass]:
     """Replace class e by the unique other class completing T minus e.
 
-    Both backends run on every call and must name the same class; the
-    rebuilt family is validated through the periodic polygon image.
+    Both backends run on every call, on one periodic polygon image of t,
+    and must name the same class; the rebuilt family is validated through
+    its own image.
     """
     k = t.surface.k
     if k != 2:
@@ -90,8 +89,9 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
         raise NotInTriangulation(f"{e} is not a class of this triangulation")
     if not e.is_relevant(k):
         raise NotRelevant(f"{e} has length {e.length} <= k={k}, not flippable")
-    f_stars = _flip_via_stars(t, e)
-    f_chevron = _flip_via_chevron(t, e)
+    p = phi(t)
+    f_stars = _flip_via_stars(p, e)
+    f_chevron = _flip_via_chevron(p, e)
     if f_stars != f_chevron:
         raise StructureViolation(
             f"flip backends disagree on {e}: stars give {f_stars}, "

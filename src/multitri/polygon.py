@@ -8,7 +8,6 @@ k(2n-2k-1) edges, and decomposes into n-2k star polygons.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import NotInTriangulation, NotRelevant, StructureViolation, TooLarge
@@ -74,7 +73,7 @@ def make_star(sorted_vertices: tuple[int, ...]) -> KStar:
 
 
 def short_edges(n: int, k: int) -> set[Edge]:
-    return {e for e in all_edges(n) if cyclic_length(e, n) <= k}
+    return {Edge(v, (v + d) % n) for d in range(1, min(k, n // 2) + 1) for v in range(n)}
 
 
 def all_edges(n: int) -> list[Edge]:
@@ -126,6 +125,18 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
 def validate_polygon_triangulation(t: PolygonTriangulation):
     """Raise StructureViolation unless t really is a k-triangulation."""
     n, k = t.surface.n, t.surface.k
+    edges = _checked_edge_set(t)
+    if has_k_plus_1_crossing(edges, k, t.surface):
+        raise StructureViolation(f"contains a {k + 1}-crossing")
+    # Every maximal (k+1)-crossing-free set has exactly k(2n-2k-1) edges, so
+    # the count settles maximality.
+    _check_edge_count(edges, n, k)
+
+
+def _checked_edge_set(t: PolygonTriangulation) -> frozenset[Edge]:
+    """t's edges as a set; raise StructureViolation unless they are distinct,
+    within the n-gon and include every edge of cyclic length at most k."""
+    n, k = t.surface.n, t.surface.k
     edges = t.edge_set()
     if len(edges) != len(t.edges):
         raise StructureViolation("duplicate edges")
@@ -135,10 +146,10 @@ def validate_polygon_triangulation(t: PolygonTriangulation):
     missing = short_edges(n, k) - edges
     if missing:
         raise StructureViolation(f"edges of length <= {k} missing: {sorted(missing)}")
-    if has_k_plus_1_crossing(edges, k, t.surface):
-        raise StructureViolation(f"contains a {k + 1}-crossing")
-    # Every maximal (k+1)-crossing-free set has exactly k(2n-2k-1) edges, so
-    # the count settles maximality.
+    return edges
+
+
+def _check_edge_count(edges: frozenset[Edge], n: int, k: int):
     if len(edges) != expected_edge_count(n, k):
         raise StructureViolation(
             f"{len(edges)} edges, a k-triangulation of the {n}-gon has "
@@ -146,18 +157,52 @@ def validate_polygon_triangulation(t: PolygonTriangulation):
 
 
 def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
-    """The n-2k stars of t, by direct scan of vertex subsets in convex position."""
+    """The n-2k stars of t, ordered by their sorted vertex tuples.
+
+    Every k-relevant edge of a k-triangulation lies in exactly two k-stars,
+    and every angle of a k-star is an angle of T (Pilaud-Santos,
+    "Multitriangulations as complexes of star polygons").  So each star is
+    walked from any of its edges: from the directed edge (a, b) the next
+    vertex is the neighbour of b just before a in b's counterclockwise order
+    of neighbours.  Walks start from both directions of every edge of cyclic
+    length at least k, and one counts only if it closes after exactly 2k+1
+    steps on 2k+1 distinct vertices whose star has exactly the walked edges.
+
+    Raises StructureViolation unless the edges of t are distinct, lie in
+    the n-gon, include every edge of cyclic length at most k and number
+    k(2n-2k-1), and when the walks close on other than n-2k stars.  Past
+    these checks the input is trusted to be a k-triangulation: the crossing
+    test of `validate_polygon_triangulation` is not repeated.
+    """
     n, k = t.surface.n, t.surface.k
-    edges = t.edge_set()
-    stars = []
-    for z in itertools.combinations(range(n), 2 * k + 1):
-        wraps = [Edge(*sorted((z[i], z[(i + k) % (2 * k + 1)]))) for i in range(2 * k + 1)]
-        if all(w in edges for w in wraps):
-            stars.append(make_star(z))
+    edges = _checked_edge_set(t)
+    _check_edge_count(edges, n, k)
+    around: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        around[e.a].append(e.b)
+        around[e.b].append(e.a)
+    before = {}
+    for b, neighbours in enumerate(around):
+        neighbours.sort(key=lambda v: (v - b) % n)
+        for i, a in enumerate(neighbours):
+            before[b, a] = neighbours[i - 1]
+    stars = {}
+    for e in edges:
+        if cyclic_length(e, n) < k:
+            continue
+        for walk in ([e.a, e.b], [e.b, e.a]):
+            for _ in range(2 * k):
+                walk.append(before[walk[-1], walk[-2]])
+            z = tuple(sorted(walk[:-1]))
+            if walk[-1] != walk[0] or z in stars or len(set(z)) != 2 * k + 1:
+                continue
+            star = make_star(z)
+            if star.edge_set() == {Edge(*walk[j:j + 2]) for j in range(2 * k + 1)}:
+                stars[z] = star
     if len(stars) != n - 2 * k:
         raise StructureViolation(
             f"found {len(stars)} stars, expected {n - 2 * k}")
-    return stars
+    return [stars[z] for z in sorted(stars)]
 
 
 def _star_angle_at(star: KStar, v: int) -> tuple[int, int]:
@@ -196,10 +241,12 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
     """Exchange e for the unique other edge completing t minus e.
 
     The replacement is the common bisector of the two stars of t that
-    contain e.
+    contain e, taken from the star walk of `star_decomposition`; the
+    flipped set is checked for a (k+1)-crossing.
     """
     n, k = t.surface.n, t.surface.k
-    if e not in t.edge_set():
+    edges = t.edge_set()
+    if e not in edges:
         raise NotInTriangulation(f"{e} not in the triangulation")
     if cyclic_length(e, n) <= k:
         raise NotRelevant(f"{e} has cyclic length {cyclic_length(e, n)} <= k = {k}")
@@ -207,13 +254,11 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
     if len(holders) != 2:
         raise StructureViolation(
             f"relevant edge {e} lies in {len(holders)} stars, expected 2")
-    absent = frozenset(all_edges(n)) - t.edge_set()
-    f = common_bisector(holders[0], holders[1], absent)
-    new_edges = tuple(sorted(t.edge_set() - {e} | {f}))
-    flipped = PolygonTriangulation(t.surface, new_edges)
+    f = common_bisector(holders[0], holders[1], frozenset(all_edges(n)) - edges)
+    new_edges = tuple(sorted(edges - {e} | {f}))
     if has_k_plus_1_crossing(new_edges, k, t.surface):
         raise StructureViolation(f"flip of {e} to {f} created a crossing")
-    return flipped, f
+    return PolygonTriangulation(t.surface, new_edges), f
 
 
 def is_shift_invariant(t: PolygonTriangulation, shift: int) -> bool:
