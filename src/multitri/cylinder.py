@@ -3,8 +3,8 @@
 A triangulation here is a set of edge classes whose lift to the cover is
 maximal (k+1)-crossing-free.  Every such set contains all classes of
 length at most k, no class of length above kn, and exactly one of length
-kn.  For k=2 the set decomposes into n-1 star polygons, located one
-angle at a time.
+kn.  For k=2 the set decomposes into n-1 star polygons, found by a walk
+along the lift on the universal cover.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import LengthPrecondition, StructureViolation, TooLarge
-from .polygon import KStar, make_star
+from .polygon import KStar, _walk_stars, make_star
 from .surfaces import (
     CYLINDER,
     Edge,
@@ -223,13 +223,49 @@ def canonical_star(star: KStar, n: int) -> KStar:
 
 
 def stars_of(t: CylinderTriangulation) -> list[KStar]:
-    """The distinct stars of the lift, up to translation, via their angles."""
-    n = t.surface.n
+    """The distinct stars of the lift up to translation, each moved by
+    `canonical_star`, ordered by sorted vertices.
+
+    At k=2 the lift decomposes into stars whose angles are angles of the
+    lift (this paper's decomposition, the cylinder analogue of Pilaud-Santos,
+    "Multitriangulations as complexes of star polygons").  So the stars are
+    walked on the cover as `star_decomposition` walks them: from the
+    directed edge (a, b) on to the neighbour of b just before a, where the
+    neighbours run counterclockwise through the right-hand ones and then
+    the left-hand ones, each increasing.  Walks start from both directions
+    of every class representative of length at least k.
+
+    Raises LengthPrecondition for k != 2 once t has a class of length
+    strictly between k and kn, and StructureViolation on duplicate classes
+    or on a lift with a (k+1)-crossing, where walks can close on wrong stars.
+    """
+    n, k = t.surface.n, t.surface.k
+    if k != 2 and any(k < c.length < k * n for c in t.classes):
+        raise LengthPrecondition(f"star location is established for k=2 only, got k={k}")
+    if len(t.class_set()) != len(t.classes):
+        raise StructureViolation("duplicate classes")
+    universe = lift_universe(n, k)
+    if not universe.crossing_free(universe.indices(t.classes)):
+        raise StructureViolation(f"lift contains a {k + 1}-crossing")
+    offsets: list[list[int]] = [[] for _ in range(n)]
+    for c in t.classes:
+        offsets[c.rep.a].append(c.length)
+        offsets[c.rep.b % n].append(-c.length)
+    before = {}
+    for r, around in enumerate(offsets):
+        around.sort(key=lambda d: (d < 0, d))
+        for i, d in enumerate(around):
+            before[r, d] = around[i - 1]
+
+    def step(pair: tuple[int, int]) -> int:
+        b, a = pair
+        return b + before[b % n, a - b]
+
+    starts = [(a, b) for c in t.classes if c.length >= k
+              for a, b in ((c.rep.a, c.rep.b), (c.rep.b, c.rep.a))]
     found: dict[tuple[int, ...], KStar] = {}
-    for angle in find_angles(t):
-        if not angle.relevant:
-            continue
-        star = canonical_star(star_of_angle(t, angle), n)
+    for star in _walk_stars(starts, step, k).values():
+        star = canonical_star(star, n)
         found[tuple(sorted(star.vertices))] = star
     return [found[key] for key in sorted(found)]
 

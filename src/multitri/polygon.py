@@ -186,23 +186,32 @@ def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
         neighbours.sort(key=lambda v: (v - b) % n)
         for i, a in enumerate(neighbours):
             before[b, a] = neighbours[i - 1]
-    stars = {}
-    for e in edges:
-        if cyclic_length(e, n) < k:
-            continue
-        for walk in ([e.a, e.b], [e.b, e.a]):
-            for _ in range(2 * k):
-                walk.append(before[walk[-1], walk[-2]])
-            z = tuple(sorted(walk[:-1]))
-            if walk[-1] != walk[0] or z in stars or len(set(z)) != 2 * k + 1:
-                continue
-            star = make_star(z)
-            if star.edge_set() == {Edge(*walk[j:j + 2]) for j in range(2 * k + 1)}:
-                stars[z] = star
+    starts = [(a, b) for e in edges if cyclic_length(e, n) >= k
+              for a, b in ((e.a, e.b), (e.b, e.a))]
+    stars = _walk_stars(starts, before.__getitem__, k)
     if len(stars) != n - 2 * k:
         raise StructureViolation(
             f"found {len(stars)} stars, expected {n - 2 * k}")
     return [stars[z] for z in sorted(stars)]
+
+
+def _walk_stars(starts, step, k: int) -> dict[tuple[int, ...], KStar]:
+    """The k-stars of the walks from the directed edges `starts`, keyed by
+    sorted vertices; from (a, b) a walk goes on to `step((b, a))`.  A walk
+    counts only if it closes after exactly 2k+1 steps on 2k+1 distinct
+    vertices whose star has exactly the walked edges."""
+    stars = {}
+    for a, b in starts:
+        walk = [a, b]
+        for _ in range(2 * k):
+            walk.append(step((walk[-1], walk[-2])))
+        z = tuple(sorted(walk[:-1]))
+        if walk[-1] != walk[0] or z in stars or len(set(z)) != 2 * k + 1:
+            continue
+        star = make_star(z)
+        if star.edge_set() == {Edge(*walk[j:j + 2]) for j in range(2 * k + 1)}:
+            stars[z] = star
+    return stars
 
 
 def _star_angle_at(star: KStar, v: int) -> tuple[int, int]:
@@ -219,8 +228,8 @@ def _bisects(v: int, far: int, u: int, w: int) -> bool:
     return cyclically_ordered(far, u, v, w)
 
 
-def common_bisector(r: KStar, s: KStar, absent: frozenset[Edge]) -> Edge:
-    """The unique edge splitting an angle of r and an angle of s."""
+def _bisectors(r: KStar, s: KStar) -> set[Edge]:
+    """Every edge splitting an angle of r and an angle of s."""
     found = set()
     for x in r.vertices:
         ux, wx = _star_angle_at(r, x)
@@ -230,11 +239,19 @@ def common_bisector(r: KStar, s: KStar, absent: frozenset[Edge]) -> Edge:
             uy, wy = _star_angle_at(s, y)
             if _bisects(x, y, ux, wx) and _bisects(y, x, uy, wy):
                 found.add(Edge(*sorted((x, y))))
-    found &= absent
+    return found
+
+
+def _sole_bisector(found: set[Edge]) -> Edge:
     if len(found) != 1:
         raise StructureViolation(
             f"expected one common bisector, found {sorted(found)}")
     return found.pop()
+
+
+def common_bisector(r: KStar, s: KStar, absent: frozenset[Edge]) -> Edge:
+    """The unique edge of `absent` splitting an angle of r and an angle of s."""
+    return _sole_bisector(_bisectors(r, s) & absent)
 
 
 def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation, Edge]:
@@ -254,7 +271,7 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
     if len(holders) != 2:
         raise StructureViolation(
             f"relevant edge {e} lies in {len(holders)} stars, expected 2")
-    f = common_bisector(holders[0], holders[1], frozenset(all_edges(n)) - edges)
+    f = _sole_bisector(_bisectors(*holders) - edges)
     new_edges = tuple(sorted(edges - {e} | {f}))
     if has_k_plus_1_crossing(new_edges, k, t.surface):
         raise StructureViolation(f"flip of {e} to {f} created a crossing")

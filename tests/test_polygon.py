@@ -14,8 +14,10 @@ import pytest
 from multitri import (
     Edge,
     KStar,
+    PolygonTriangulation,
     TooLarge,
     all_edges,
+    common_bisector,
     crosses,
     enumerate_polygon,
     enumerate_shift_invariant,
@@ -29,7 +31,7 @@ from multitri import (
     star_decomposition,
     validate_polygon_triangulation,
 )
-from multitri.errors import NotInTriangulation, NotRelevant
+from multitri.errors import NotInTriangulation, NotRelevant, StructureViolation
 
 from conftest import POLYGON_COUNTS, make_polygon_triangulation
 
@@ -130,6 +132,34 @@ def test_polygon_flip_rejects_bad_edges():
         polygon_flip(t, absent)
     with pytest.raises(NotRelevant):
         polygon_flip(t, Edge(0, 1))
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (9, 2)])
+def test_polygon_flip_matches_bisector_among_all_absent_edges(n, k):
+    """`polygon_flip` against `common_bisector` over the full complement of
+    t, on every relevant edge of every triangulation."""
+    flips = 0
+    for t in enumerate_polygon(polygon(n, k)):
+        edges = t.edge_set()
+        absent = frozenset(all_edges(n)) - edges
+        stars = star_decomposition(t)
+        for e in t.relevant_edges():
+            r, s = [star for star in stars if e in star.edge_set()]
+            f = common_bisector(r, s, absent)
+            assert polygon_flip(t, e) == (
+                PolygonTriangulation(t.surface, tuple(sorted(edges - {e} | {f}))), f)
+            flips += 1
+    assert flips == POLYGON_COUNTS[n, k] * (expected_edge_count(n, k) - n * k)
+
+
+def test_common_bisector_needs_exactly_one_absent_candidate():
+    t = enumerate_polygon(polygon(8, 2))[0]
+    e = t.relevant_edges()[0]
+    r, s = [star for star in star_decomposition(t) if e in star.edge_set()]
+    absent = frozenset(all_edges(8)) - t.edge_set()
+    f = common_bisector(r, s, absent)
+    with pytest.raises(StructureViolation, match=r"expected one common bisector, found \[\]"):
+        common_bisector(r, s, absent - {f})
 
 
 def test_flip_changes_exactly_one_triangulation_edge():
