@@ -30,7 +30,7 @@ from .pipedreams import (
     staircase_from_triangulation,
     trace_pipes,
 )
-from .polygon import enumerate_polygon
+from .polygon import enumerate_polygon, validate_polygon_triangulation
 from .surfaces import Edge, cylinder, edge_class_of, polygon
 
 
@@ -165,6 +165,8 @@ def cmd_pipedream(args) -> int:
     t = _load_input(args.input)
     if isinstance(t, CylinderTriangulation):
         t = phi(t).inner
+    else:
+        validate_polygon_triangulation(t)
     dream = staircase_from_triangulation(t)
     if args.shape == "chevron":
         dream = chevron_from_staircase(dream)

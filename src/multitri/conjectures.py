@@ -14,11 +14,10 @@ from .bijection import phi
 from .cylinder import (
     ENUMERATION_BUDGET,
     CylinderTriangulation,
-    canonical_star,
+    _cover_stars,
     enumerate_cylinder,
     find_angles,
     relevant_class_candidates,
-    stars_of,
 )
 from .errors import LengthPrecondition, NotPeriodic, StructureViolation, TooLarge
 from .polygon import enumerate_shift_invariant, make_star
@@ -48,24 +47,20 @@ def minimize_witness(items: list, still_fails) -> list:
 def stars_containing_angle(t: CylinderTriangulation, angle) -> list:
     """All lifted k-stars of t whose star angle at the apex is the given angle.
 
-    Brute force over vertex choices within two star-edge hops of the
-    apex; works for any k, which is the point of the lab.
+    The translates of the stars of `_cover_stars` that have the apex v as
+    a vertex with star neighbours u and w, ordered by sorted vertices.  The
+    search is the same at every k, which is the point of the lab.
     """
-    n, k = t.surface.n, t.surface.k
-    size = 2 * k + 1
+    n = t.surface.n
     u, v, w = angle.u, angle.v, angle.w
-    reach = 2 * k * n
-    pool = [x for x in range(v - reach, v + reach + 1) if x not in (u, v, w)]
     found = []
-    for extra in itertools.combinations(pool, size - 3):
-        z = tuple(sorted((u, v, w) + extra))
-        j = z.index(v)
-        if {z[(j - k) % size], z[(j + k) % size]} != {u, w}:
-            continue
-        star = make_star(z)
-        if all(t.contains_edge(edge) for edge in star.edges):
-            found.append(star)
-    return found
+    for star in _cover_stars(t):
+        s = star.vertices
+        for j, x in enumerate(s):
+            shift = v - x
+            if shift % n == 0 and {s[j - 1] + shift, s[(j + 1) % len(s)] + shift} == {u, w}:
+                found.append(make_star(tuple(sorted(y + shift for y in s))))
+    return sorted(found, key=lambda star: sorted(star.vertices))
 
 
 def check_star_decomposition_k(n: int, k: int) -> dict:
@@ -158,25 +153,8 @@ def check_bijection_k(n: int, k: int) -> dict:
 
 
 def _star_count_general(t: CylinderTriangulation) -> int:
-    """Count star orbits by direct search over vertex windows of the lift.
-
-    Any star side has length at most kn, so the vertex set fits in a
-    window of width 2kn; anchoring the minimum vertex in [0, n) picks
-    one candidate per translation orbit, and canonicalising afterwards
-    removes the remaining duplicates.  For k=2 the exact machinery is
-    cheaper and is used directly.
-    """
-    n, k = t.surface.n, t.surface.k
-    if k == 2:
-        return len(stars_of(t))
-    span = 2 * k * n
-    seen = set()
-    for z0 in range(n):
-        for rest in itertools.combinations(range(z0 + 1, z0 + span + 1), 2 * k):
-            star = make_star((z0,) + rest)
-            if all(e.length <= span and t.contains_edge(e) for e in star.edges):
-                seen.add(canonical_star(star, n).vertices)
-    return len(seen)
+    """The number of star orbits contained in the lift, at any k."""
+    return len(_cover_stars(t))
 
 
 def check_counts_k(n: int, k: int) -> dict:

@@ -3,8 +3,8 @@
 A triangulation here is a set of edge classes whose lift to the cover is
 maximal (k+1)-crossing-free.  Every such set contains all classes of
 length at most k, no class of length above kn, and exactly one of length
-kn.  For k=2 the set decomposes into n-1 star polygons, found by a walk
-along the lift on the universal cover.
+kn.  For k=2 the set decomposes into n-1 star polygons, found by the
+polygon's contained-star search run on the universal cover.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import LengthPrecondition, StructureViolation, TooLarge
-from .polygon import KStar, _walk_stars, make_star
+from .polygon import KStar, _contained_stars, make_star
 from .surfaces import (
     CYLINDER,
     Edge,
@@ -226,18 +226,14 @@ def stars_of(t: CylinderTriangulation) -> list[KStar]:
     """The distinct stars of the lift up to translation, each moved by
     `canonical_star`, ordered by sorted vertices.
 
-    At k=2 the lift decomposes into stars whose angles are angles of the
-    lift (this paper's decomposition, the cylinder analogue of Pilaud-Santos,
-    "Multitriangulations as complexes of star polygons").  So the stars are
-    walked on the cover as `star_decomposition` walks them: from the
-    directed edge (a, b) on to the neighbour of b just before a, where the
-    neighbours run counterclockwise through the right-hand ones and then
-    the left-hand ones, each increasing.  Walks start from both directions
-    of every class representative of length at least k.
+    At k=2 the lift decomposes into stars, the k-stars whose edges all lie
+    in it (this paper's decomposition, the cylinder analogue of
+    Pilaud-Santos, "Multitriangulations as complexes of star polygons").
+    They are the stars of `_cover_stars`.
 
     Raises LengthPrecondition for k != 2 once t has a class of length
     strictly between k and kn, and StructureViolation on duplicate classes
-    or on a lift with a (k+1)-crossing, where walks can close on wrong stars.
+    or on a lift with a (k+1)-crossing.
     """
     n, k = t.surface.n, t.surface.k
     if k != 2 and any(k < c.length < k * n for c in t.classes):
@@ -247,27 +243,26 @@ def stars_of(t: CylinderTriangulation) -> list[KStar]:
     universe = lift_universe(n, k)
     if not universe.crossing_free(universe.indices(t.classes)):
         raise StructureViolation(f"lift contains a {k + 1}-crossing")
+    return _cover_stars(t)
+
+
+def _cover_stars(t: CylinderTriangulation) -> list[KStar]:
+    """Every k-star of the cover whose edges all lie in the lift, one per
+    translation orbit, with its lowest vertex in [0, n); ordered by sorted
+    vertices.  No guard: the search of `_contained_stars` at any k."""
+    n, k = t.surface.n, t.surface.k
+    classes = t.class_set()
     offsets: list[list[int]] = [[] for _ in range(n)]
-    for c in t.classes:
+    for c in classes:
         offsets[c.rep.a].append(c.length)
         offsets[c.rep.b % n].append(-c.length)
-    before = {}
-    for r, around in enumerate(offsets):
-        around.sort(key=lambda d: (d < 0, d))
-        for i, d in enumerate(around):
-            before[r, d] = around[i - 1]
-
-    def step(pair: tuple[int, int]) -> int:
-        b, a = pair
-        return b + before[b % n, a - b]
-
-    starts = [(a, b) for c in t.classes if c.length >= k
-              for a, b in ((c.rep.a, c.rep.b), (c.rep.b, c.rep.a))]
-    found: dict[tuple[int, ...], KStar] = {}
-    for star in _walk_stars(starts, step, k).values():
-        star = canonical_star(star, n)
-        found[tuple(sorted(star.vertices))] = star
-    return [found[key] for key in sorted(found)]
+    for around in offsets:
+        around.sort()
+    # The search looks up neighbours below a star's top vertex z_2k only,
+    # which lies two star edges above z_0 < n.
+    reach = n + 2 * max((c.length for c in classes), default=0)
+    neighbours = [[v + d for d in offsets[v % n]] for v in range(reach)]
+    return _contained_stars(neighbours, range(n), k)
 
 
 def check_maximal_lifting(t: CylinderTriangulation) -> dict:

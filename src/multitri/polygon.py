@@ -8,6 +8,7 @@ k(2n-2k-1) edges, and decomposes into n-2k star polygons.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import NotInTriangulation, NotRelevant, StructureViolation, TooLarge
@@ -159,59 +160,61 @@ def _check_edge_count(edges: frozenset[Edge], n: int, k: int):
 def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
     """The n-2k stars of t, ordered by their sorted vertex tuples.
 
-    Every k-relevant edge of a k-triangulation lies in exactly two k-stars,
-    and every angle of a k-star is an angle of T (Pilaud-Santos,
-    "Multitriangulations as complexes of star polygons").  So each star is
-    walked from any of its edges: from the directed edge (a, b) the next
-    vertex is the neighbour of b just before a in b's counterclockwise order
-    of neighbours.  Walks start from both directions of every edge of cyclic
-    length at least k, and one counts only if it closes after exactly 2k+1
-    steps on 2k+1 distinct vertices whose star has exactly the walked edges.
+    The stars of a k-triangulation are exactly the k-stars whose 2k+1 edges
+    all lie in it, and there are n-2k of them (Pilaud-Santos,
+    "Multitriangulations as complexes of star polygons").  They are found by
+    `_contained_stars`, with the vertex labels as the cyclic order.
 
     Raises StructureViolation unless the edges of t are distinct, lie in
     the n-gon, include every edge of cyclic length at most k and number
-    k(2n-2k-1), and when the walks close on other than n-2k stars.  Past
-    these checks the input is trusted to be a k-triangulation: the crossing
-    test of `validate_polygon_triangulation` is not repeated.
+    k(2n-2k-1), and when t contains other than n-2k stars.
     """
     n, k = t.surface.n, t.surface.k
     edges = _checked_edge_set(t)
     _check_edge_count(edges, n, k)
-    around: list[list[int]] = [[] for _ in range(n)]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
-        around[e.a].append(e.b)
-        around[e.b].append(e.a)
-    before = {}
-    for b, neighbours in enumerate(around):
-        neighbours.sort(key=lambda v: (v - b) % n)
-        for i, a in enumerate(neighbours):
-            before[b, a] = neighbours[i - 1]
-    starts = [(a, b) for e in edges if cyclic_length(e, n) >= k
-              for a, b in ((e.a, e.b), (e.b, e.a))]
-    stars = _walk_stars(starts, before.__getitem__, k)
+        neighbours[e.a].append(e.b)
+        neighbours[e.b].append(e.a)
+    for around in neighbours:
+        around.sort()
+    stars = _contained_stars(neighbours, range(n), k)
     if len(stars) != n - 2 * k:
         raise StructureViolation(
             f"found {len(stars)} stars, expected {n - 2 * k}")
-    return [stars[z] for z in sorted(stars)]
-
-
-def _walk_stars(starts, step, k: int) -> dict[tuple[int, ...], KStar]:
-    """The k-stars of the walks from the directed edges `starts`, keyed by
-    sorted vertices; from (a, b) a walk goes on to `step((b, a))`.  A walk
-    counts only if it closes after exactly 2k+1 steps on 2k+1 distinct
-    vertices whose star has exactly the walked edges."""
-    stars = {}
-    for a, b in starts:
-        walk = [a, b]
-        for _ in range(2 * k):
-            walk.append(step((walk[-1], walk[-2])))
-        z = tuple(sorted(walk[:-1]))
-        if walk[-1] != walk[0] or z in stars or len(set(z)) != 2 * k + 1:
-            continue
-        star = make_star(z)
-        if star.edge_set() == {Edge(*walk[j:j + 2]) for j in range(2 * k + 1)}:
-            stars[z] = star
     return stars
+
+
+def _contained_stars(neighbours, anchors, k: int) -> list[KStar]:
+    """Every k-star z_0 < ... < z_2k with z_0 in `anchors` and all 2k+1
+    edges in the graph, ordered by sorted vertices.
+
+    `neighbours[v]` lists the neighbours of v in increasing order.  A
+    depth-first search places s_j = z_{kj mod 2k+1} along the neighbours of
+    s_{j-1} and keeps the star if s_2k is a neighbour of s_0.  Each s_j
+    lies strictly between the placed vertices of the ranks next to its own:
+    above s_0 = z_0 for odd j and above s_1 = z_k for even j, and for
+    j >= 3 below s_{j-2}, whose rank is one more.
+    """
+    found = []
+
+    def place(s: list[int], closing: set[int]):
+        j = len(s)
+        if j == 2 * k + 1:
+            if s[-1] in closing:
+                found.append(tuple(sorted(s)))
+            return
+        around = neighbours[s[-1]]
+        start = bisect_right(around, s[1 - j % 2])
+        stop = bisect_left(around, s[j - 2], start) if j >= 3 else len(around)
+        for x in around[start:stop]:
+            s.append(x)
+            place(s, closing)
+            s.pop()
+
+    for z0 in anchors:
+        place([z0], set(neighbours[z0]))
+    return [make_star(z) for z in sorted(found)]
 
 
 def _star_angle_at(star: KStar, v: int) -> tuple[int, int]:
@@ -258,8 +261,8 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
     """Exchange e for the unique other edge completing t minus e.
 
     The replacement is the common bisector of the two stars of t that
-    contain e, taken from the star walk of `star_decomposition`; the
-    flipped set is checked for a (k+1)-crossing.
+    contain e, taken from `star_decomposition`; the flipped set is checked
+    for a (k+1)-crossing.
     """
     n, k = t.surface.n, t.surface.k
     edges = t.edge_set()

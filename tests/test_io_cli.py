@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -172,6 +173,23 @@ def test_cli_pipedream_malformed_input(tmp_path, capsys):
     path.write_text('{"surface": "polygon"}')
     assert main(["pipedream", "--input", str(path)]) == 2
     assert "missing fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj", [
+    {"surface": "polygon", "n": 9, "k": 2, "edges": [[0, 4]]},
+    {"surface": "polygon", "n": 2000, "k": 1, "edges": []},
+])
+def test_cli_pipedream_rejects_invalid_polygon(tmp_path, capsys, obj):
+    """Polygon input is validated before rendering, as cylinder input is
+    by the bijection; the 2000-gon used to render for seconds and exit 0."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main(["pipedream", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "StructureViolation" in captured.err
 
 
 def test_cli_flip(tmp_path, capsys, t_left):
