@@ -114,9 +114,10 @@ def validate_cylinder_triangulation(t: CylinderTriangulation):
             raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
         if c.length > k * n:
             raise StructureViolation(f"class {c} longer than kn = {k * n}")
-    missing = set(short_classes(n, k)) - classes
+    missing = sorted(set(short_classes(n, k)) - classes)
     if missing:
-        raise StructureViolation(f"classes of length <= {k} missing: {sorted(missing)}")
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise StructureViolation(f"classes of length <= {k} missing: {missing[:5]}{more}")
     report = check_maximal_lifting(t)
     if not report["crossing_free"]:
         raise StructureViolation(f"lift contains a {k + 1}-crossing")
@@ -133,7 +134,7 @@ def unique_spanning_class(t: CylinderTriangulation) -> EdgeClass:
     return spanning[0]
 
 
-def find_angles(t: CylinderTriangulation, window: int | None = None) -> list[Angle]:
+def find_angles(t: CylinderTriangulation) -> list[Angle]:
     """All angles of the lift with apex in [0, n), one per translation orbit.
 
     The fan of neighbors at an apex v runs through the right-hand ones in
@@ -142,15 +143,11 @@ def find_angles(t: CylinderTriangulation, window: int | None = None) -> list[Ang
     not an angle.
     """
     n, k = t.surface.n, t.surface.k
-    if window is None:
-        window = 2 * k + 1
-    if window < 2 * k + 1:
-        raise ValueError(f"window {window} shorter than 2k+1 = {2 * k + 1}")
     angles = []
     for v in range(n):
         rights, lefts = [], []
         for c in t.classes:
-            for s in range(-window, window + 1):
+            for s in window_translations(k):
                 e = c.translate(s)
                 if e.a == v:
                     rights.append(e.b)

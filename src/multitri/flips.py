@@ -2,9 +2,9 @@
 
 Removing a relevant class from a maximal periodic family leaves room for
 exactly one other class, found here by two independent routes that must
-agree: the common bisector of the two stars holding a representative in
-the periodic polygon picture, and the unique crossing of the two pipes
-that bump at a representative tile of the chevron.
+agree: the common bisector of the two stars of the lift holding the
+class representative, and the unique crossing of the two pipes that bump
+at a representative tile of the chevron of the periodic polygon image.
 """
 
 from __future__ import annotations
@@ -32,18 +32,27 @@ from .pipedreams import (
     staircase_from_triangulation,
     trace_pipes,
 )
-from .polygon import polygon_flip
-from .surfaces import Edge, EdgeClass, cylinder, edge_class_of
+from .polygon import _bisectors, _sole_bisector, make_star
+from .surfaces import EdgeClass, cylinder, edge_class_of, lift_universe
 
 FLIP_GRAPH_BUDGET = 5
 
 
-def _flip_via_stars(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClass:
-    """Flip through the periodic polygon: bisector of the two holder stars."""
-    n, k = p.period, p.inner.surface.k
-    rep = Edge(e.rep.a, e.rep.b)
-    _, f = polygon_flip(p.inner, rep)
-    return class_of_polygon_edge(f, n, k)
+def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
+    """Flip on the cover: the sole bisector, of a class absent from t, of the
+    two stars of the lift holding e's representative, wrapped onto the
+    2kn-gon.  A spanning class lies in one star orbit; its second holder is
+    that star moved by kn, which wraps onto the same diameter."""
+    n, k = t.surface.n, t.surface.k
+    holders = [[v + e.rep.a - f.a for v in star.vertices]
+               for star in stars_of(t) for f in star.edges if edge_class_of(f, n) == e]
+    if e.is_spanning(k):
+        holders += [[v + k * n for v in star] for star in holders]
+    if len(holders) != 2:
+        raise StructureViolation(f"relevant class {e} lies in {len(holders)} stars, expected 2")
+    r, s = (make_star(tuple(sorted(v % (2 * k * n) for v in star))) for star in holders)
+    found = {class_of_polygon_edge(f, n, k) for f in _bisectors(r, s)}
+    return _sole_bisector(found - t.class_set())
 
 
 def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClass:
@@ -57,17 +66,12 @@ def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClas
         raise StructureViolation(f"no chevron tile carries a representative of {e}")
     r, c = cells[0]
     trace = trace_pipes(dream)
-    through_n = through_e = None
-    for i, path in enumerate(trace.paths):
-        for (pr, pc, out) in path.visited:
-            if (pr, pc) == (r, c):
-                if out == "N":
-                    through_n = i
-                elif out == "E":
-                    through_e = i
-    if through_n is None or through_e is None or through_n == through_e:
+    # Pipes leave every tile to the north or the east.
+    through = {out: i for i, path in enumerate(trace.paths)
+               for (pr, pc, out) in path.visited if (pr, pc) == (r, c)}
+    pair = tuple(sorted(through.values()))
+    if len(pair) != 2 or pair[0] == pair[1]:
         raise StructureViolation(f"tile {(r, c)} is not a bump of two distinct pipes")
-    pair = (min(through_n, through_e), max(through_n, through_e))
     crossing_cells = trace.crossings.get(pair, ())
     if len(crossing_cells) != 1:
         raise StructureViolation(
@@ -78,9 +82,10 @@ def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClas
 def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangulation, EdgeClass]:
     """Replace class e by the unique other class completing T minus e.
 
-    Both backends run on every call, on one periodic polygon image of t,
-    and must name the same class; the rebuilt family is validated through
-    its own image.
+    Both backends run on every call and must name the same class: stars
+    on the lift of t, the chevron on its periodic polygon image `phi(t)`.
+    The rebuilt family has k(2n-1) classes, so by cylinder purity at k=2
+    it is a triangulation once its lift is crossing-free.
     """
     k = t.surface.k
     if k != 2:
@@ -90,16 +95,17 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
     if not e.is_relevant(k):
         raise NotRelevant(f"{e} has length {e.length} <= k={k}, not flippable")
     p = phi(t)
-    f_stars = _flip_via_stars(p, e)
+    f_stars = _flip_via_stars(t, e)
     f_chevron = _flip_via_chevron(p, e)
     if f_stars != f_chevron:
         raise StructureViolation(
             f"flip backends disagree on {e}: stars give {f_stars}, "
             f"chevron gives {f_chevron}")
     classes = tuple(sorted(set(t.classes) - {e} | {f_stars}))
-    flipped = CylinderTriangulation(t.surface, classes)
-    phi(flipped)
-    return flipped, f_stars
+    universe = lift_universe(t.surface.n, k)
+    if not universe.crossing_free(universe.indices(classes)):
+        raise StructureViolation(f"flip of {e} to {f_stars} created a crossing")
+    return CylinderTriangulation(t.surface, classes), f_stars
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,8 @@ def build_flip_graph(n: int) -> FlipGraph:
     for (i, j) in seen:
         if (j, i) not in seen:
             raise StructureViolation(f"flip edge {i}->{j} has no reverse")
-    degrees = tuple(sum(1 for (i, _, _) in adjacency if i == v) for v in range(len(vertices)))
+    out_degree = Counter(i for (i, _, _) in adjacency)
+    degrees = tuple(out_degree[v] for v in range(len(vertices)))
     component_count = _count_components(len(vertices), seen)
     return FlipGraph(vertices, tuple(sorted(adjacency)), degrees, component_count)
 

@@ -96,10 +96,11 @@ class TraceResult:
 def trace_pipes(p: PipeDream) -> TraceResult:
     """Follow every pipe from its entry to its exit.
 
-    Crossings are recorded per unordered pipe pair as the tuple of cross
-    cells where both strands meet; pairs never meeting at a cross tile
-    are absent from the map.  The permutation (west entry rows, top to
-    bottom, to north exit columns) is reported for staircases only.
+    Pipes are numbered in entry order.  Crossings are recorded per pipe
+    pair (low, high) as the tuple of cross cells where both strands meet,
+    in the order the higher pipe passes them; pairs never meeting at a
+    cross tile are absent from the map.  The permutation (west entry rows,
+    top to bottom, to north exit columns) is reported for staircases only.
     """
     ports = boundary_ports(p)
     entries = sorted(
@@ -108,7 +109,8 @@ def trace_pipes(p: PipeDream) -> TraceResult:
         [q for q in ports if q[0] == "S"], key=lambda q: q[2]
     )
     paths = []
-    strand_owner = {}
+    first_through: dict[tuple[int, int], int] = {}
+    crossings: dict[tuple[int, int], tuple] = {}
     for pipe, (side, r, c) in enumerate(entries):
         pos = (r, c)
         in_side = side
@@ -121,23 +123,14 @@ def trace_pipes(p: PipeDream) -> TraceResult:
                     f"{kind} tile does not connect")
             out_side = CONNECTIONS[kind][in_side]
             visited.append((pos[0], pos[1], out_side))
-            strand_owner[pos, frozenset((in_side, out_side))] = pipe
+            if kind == CROSS and (first := first_through.setdefault(pos, pipe)) != pipe:
+                crossings[first, pipe] = crossings.get((first, pipe), ()) + (pos,)
             nxt = _neighbor(*pos, out_side)
             if nxt not in p.tiles:
                 paths.append(PipePath((side, r, c), (out_side, *pos), tuple(visited)))
                 break
             pos = nxt
             in_side = OPPOSITE[out_side]
-    crossings: dict[tuple[int, int], tuple] = {}
-    for (r, c), kind in p.tiles.items():
-        if kind != CROSS:
-            continue
-        a = strand_owner.get(((r, c), frozenset(("W", "E"))))
-        b = strand_owner.get(((r, c), frozenset(("S", "N"))))
-        if a is None or b is None or a == b:
-            continue
-        pair = (min(a, b), max(a, b))
-        crossings[pair] = crossings.get(pair, ()) + ((r, c),)
     permutation = None
     if p.shape == STAIRCASE:
         permutation = [path.exit[2] for path in paths]

@@ -144,9 +144,10 @@ def _checked_edge_set(t: PolygonTriangulation) -> frozenset[Edge]:
     for e in t.edges:
         if not 0 <= e.a < e.b < n:
             raise StructureViolation(f"edge {e} out of range for the {n}-gon")
-    missing = short_edges(n, k) - edges
+    missing = sorted(short_edges(n, k) - edges)
     if missing:
-        raise StructureViolation(f"edges of length <= {k} missing: {sorted(missing)}")
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise StructureViolation(f"edges of length <= {k} missing: {missing[:5]}{more}")
     return edges
 
 

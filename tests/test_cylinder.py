@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from multitri import (
+    CylinderTriangulation,
     Edge,
     TooLarge,
     canonical_star,
@@ -21,7 +22,7 @@ from multitri import (
     unique_spanning_class,
     validate_cylinder_triangulation,
 )
-from multitri.errors import LengthPrecondition
+from multitri.errors import LengthPrecondition, StructureViolation
 
 from conftest import CYLINDER_COUNTS_K2
 
@@ -161,3 +162,10 @@ def test_maximal_lifting_flags_incomplete(t_left):
     rep = check_maximal_lifting(CylinderTriangulation(t_left.surface, pruned))
     assert not rep["ok"]
     assert (1, 4) in {(c.rep.a, c.rep.b) for c in rep["addable"]}
+
+
+def test_missing_class_message_is_bounded():
+    t = CylinderTriangulation(cylinder(2000, 1), ())
+    with pytest.raises(StructureViolation, match="missing: .* and 1995 more") as info:
+        validate_cylinder_triangulation(t)
+    assert len(str(info.value)) < 1024

@@ -1,0 +1,134 @@
+"""The stars backend of `orbit_flip` on the cover against the polygon route.
+
+`oracle_flip_via_polygon` is the route the stars backend replaced: wrap t
+onto the 2kn-gon with `phi`, flip the class representative there with
+`polygon_flip` (which searches every star of the image) and unwrap the
+new edge.  `_flip_via_stars` reads the two holder stars from `stars_of(t)`
+and must name the same class on every relevant-class flip.  The flipped
+family is no longer rebuilt through `phi`; the tests below show that the
+two backends still catch each other out.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import json
+
+import pytest
+
+from multitri import (
+    Edge,
+    build_flip_graph,
+    class_of_polygon_edge,
+    cylinder,
+    enumerate_cylinder,
+    flip_graph_json,
+    orbit_flip,
+    phi,
+    polygon_flip,
+    relevant_class_candidates,
+)
+from multitri import flips
+from multitri.errors import StructureViolation
+
+# sha256 of json.dumps(flip_graph_json(build_flip_graph(4)), sort_keys=True),
+# frozen from the polygon route.
+FLIP_GRAPH_4_SHA256 = "adad7f8401fa9daede109056b4df25418d48c40530aec0f606720c281d894c06"
+
+# The package name `polygon` is the surface constructor, not the module.
+polygon_module = importlib.import_module("multitri.polygon")
+
+
+def oracle_flip_via_polygon(t, e):
+    rep = Edge(e.rep.a, e.rep.b)
+    return class_of_polygon_edge(polygon_flip(phi(t).inner, rep)[1], t.surface.n, 2)
+
+
+@pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 7)])
+def test_stars_backend_matches_polygon_route(n, step):
+    flipped = 0
+    for t in enumerate_cylinder(cylinder(n, 2))[::step]:
+        for e in t.relevant_classes():
+            assert flips._flip_via_stars(t, e) == oracle_flip_via_polygon(t, e), (t, e)
+            flipped += 1
+    assert flipped == {1: 0, 2: 8, 3: 144, 4: 2400, 5: 5600}[n]
+
+
+def test_flip_graph_4_unchanged():
+    data = json.dumps(flip_graph_json(build_flip_graph(4)), sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == FLIP_GRAPH_4_SHA256
+
+
+def test_orbit_flip_stays_on_the_cover(monkeypatch):
+    """One `phi` per flip, for the chevron; no polygon star search."""
+    calls = {"phi": 0}
+
+    def counted_phi(t):
+        calls["phi"] += 1
+        return phi(t)
+
+    def forbidden(*args):
+        raise AssertionError("orbit_flip reached the polygon star search")
+
+    monkeypatch.setattr(flips, "phi", counted_phi)
+    monkeypatch.setattr(polygon_module, "star_decomposition", forbidden)
+    monkeypatch.setattr(polygon_module, "polygon_flip", forbidden)
+    count = 0
+    for t in enumerate_cylinder(cylinder(3, 2)):
+        for e in t.relevant_classes():
+            orbit_flip(t, e)
+            count += 1
+    assert calls["phi"] == count == 144
+
+
+@pytest.mark.parametrize("backend", ["_flip_via_stars", "_flip_via_chevron"])
+def test_a_wrong_backend_is_caught(monkeypatch, backend, t_left):
+    true_flips = {e: orbit_flip(t_left, e)[1] for e in t_left.relevant_classes()}
+    for e, f in true_flips.items():
+        for wrong in relevant_class_candidates(3, 2):
+            if wrong == f:
+                continue
+            monkeypatch.setattr(flips, backend, lambda *args, wrong=wrong: wrong)
+            with pytest.raises(StructureViolation, match="flip backends disagree"):
+                orbit_flip(t_left, e)
+            monkeypatch.undo()
+
+
+def test_a_wrong_image_is_caught_or_harmless(monkeypatch):
+    """With `phi(t)` answering the image of another triangulation holding e,
+    each call raises StructureViolation or still returns the true flip."""
+    ts = enumerate_cylinder(cylinder(3, 2))
+    raised = returned = 0
+    for t in ts[:12]:
+        for e in t.relevant_classes():
+            want = orbit_flip(t, e)
+            other = next(u for u in ts if u != t and e in u.class_set())
+            monkeypatch.setattr(
+                flips, "phi", lambda u, t=t, other=other: phi(other if u == t else u))
+            try:
+                got = orbit_flip(t, e)
+            except StructureViolation:
+                raised += 1
+            else:
+                assert got == want
+                returned += 1
+            monkeypatch.undo()
+    assert (raised, returned) == (35, 13)
+
+
+
+def test_agreeing_wrong_backends_are_caught(monkeypatch, t_left):
+    """Both backends naming one wrong absent class leave a family of
+    k(2n-1) classes that is not a triangulation, so its lift has a
+    3-crossing, which the final check finds without `phi(flipped)`."""
+    for e in t_left.relevant_classes():
+        f = orbit_flip(t_left, e)[1]
+        for wrong in relevant_class_candidates(3, 2):
+            if wrong == f or wrong in t_left.class_set():
+                continue
+            for backend in ("_flip_via_stars", "_flip_via_chevron"):
+                monkeypatch.setattr(flips, backend, lambda *args, wrong=wrong: wrong)
+            with pytest.raises(StructureViolation, match="created a crossing"):
+                orbit_flip(t_left, e)
+            monkeypatch.undo()

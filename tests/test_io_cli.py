@@ -192,6 +192,17 @@ def test_cli_pipedream_rejects_invalid_polygon(tmp_path, capsys, obj):
     assert "StructureViolation" in captured.err
 
 
+def test_cli_missing_edge_message_is_bounded(tmp_path, capsys):
+    """The message lists the first few missing short edges and counts the
+    rest, so it stays small whatever the size of the polygon."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"surface": "polygon", "n": 2000, "k": 1, "edges": []}))
+    assert main(["pipedream", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "edges of length <= 1 missing: [[0,1], [0,1999], [1,2], [2,3], [3,4]] and 1995 more" in err
+    assert len(err.encode()) < 1024
+
+
 def test_cli_flip(tmp_path, capsys, t_left):
     path = _write_input(tmp_path, t_left)
     assert main(["flip", "--input", path, "--edge", "1,6"]) == 0
