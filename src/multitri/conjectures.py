@@ -45,16 +45,18 @@ def minimize_witness(items: list, still_fails) -> list:
 
 
 def stars_containing_angle(t: CylinderTriangulation, angle) -> list:
-    """All lifted k-stars of t whose star angle at the apex is the given angle.
+    """All lifted k-stars of t whose star angle at the apex is the given
+    angle, among the stars of `_cover_stars`: the same search at every k,
+    which is the point of the lab."""
+    return _stars_with_angle(_cover_stars(t), angle, t.surface.n)
 
-    The translates of the stars of `_cover_stars` that have the apex v as
-    a vertex with star neighbours u and w, ordered by sorted vertices.  The
-    search is the same at every k, which is the point of the lab.
-    """
-    n = t.surface.n
+
+def _stars_with_angle(stars, angle, n: int) -> list:
+    """The translates of the star orbits `stars` of C_n that have the apex v
+    as a vertex with star neighbours u and w, ordered by sorted vertices."""
     u, v, w = angle.u, angle.v, angle.w
     found = []
-    for star in _cover_stars(t):
+    for star in stars:
         s = star.vertices
         for j, x in enumerate(s):
             shift = v - x
@@ -71,11 +73,12 @@ def check_star_decomposition_k(n: int, k: int) -> dict:
     failures = []
     multiple = []
     for idx, t in enumerate(enumerate_cylinder(surface)):
+        stars = _cover_stars(t)
         for angle in find_angles(t):
             if not angle.relevant:
                 continue
             checked += 1
-            found = stars_containing_angle(t, angle)
+            found = _stars_with_angle(stars, angle, n)
             if found:
                 held += 1
             else:

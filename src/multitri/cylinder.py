@@ -137,23 +137,16 @@ def unique_spanning_class(t: CylinderTriangulation) -> EdgeClass:
 def find_angles(t: CylinderTriangulation) -> list[Angle]:
     """All angles of the lift with apex in [0, n), one per translation orbit.
 
-    The fan of neighbors at an apex v runs through the right-hand ones in
-    increasing order and then the left-hand ones in increasing order; the
+    The fan at an apex v, from `_cover_offsets` of t.classes (so a duplicate
+    class raises StructureViolation), runs through the right-hand neighbors
+    in increasing order and then the left-hand ones in increasing order; the
     pair closing the fan back on itself spans the cylinder boundary and is
     not an angle.
     """
     n, k = t.surface.n, t.surface.k
     angles = []
-    for v in range(n):
-        rights, lefts = [], []
-        for c in t.classes:
-            for s in window_translations(k):
-                e = c.translate(s)
-                if e.a == v:
-                    rights.append(e.b)
-                elif e.b == v:
-                    lefts.append(e.a)
-        fan = sorted(rights) + sorted(lefts)
+    for v, around in enumerate(_cover_offsets(t.classes, n)):
+        fan = [v + d for d in around if d > 0] + [v + d for d in around if d < 0]
         for w, u in itertools.pairwise(fan):
             if not cyclically_ordered(u, v, w):
                 raise StructureViolation(f"fan neighbors {w}, {u} at {v} out of order")
@@ -243,21 +236,27 @@ def stars_of(t: CylinderTriangulation) -> list[KStar]:
     return _cover_stars(t)
 
 
-def _cover_stars(t: CylinderTriangulation) -> list[KStar]:
-    """Every k-star of the cover whose edges all lie in the lift, one per
-    translation orbit, with its lowest vertex in [0, n); ordered by sorted
-    vertices.  No guard: the search of `_contained_stars` at any k."""
-    n, k = t.surface.n, t.surface.k
-    classes = t.class_set()
+def _cover_offsets(classes, n: int) -> list[list[int]]:
+    """Per residue r mod n, the sorted signed offsets of the lift edges at a
+    vertex congruent to r: class ~[a,b] gives +(b-a) at a and -(b-a) at b."""
     offsets: list[list[int]] = [[] for _ in range(n)]
     for c in classes:
         offsets[c.rep.a].append(c.length)
         offsets[c.rep.b % n].append(-c.length)
     for around in offsets:
         around.sort()
+    return offsets
+
+
+def _cover_stars(t: CylinderTriangulation) -> list[KStar]:
+    """Every k-star of the cover whose edges all lie in the lift, one per
+    translation orbit, with its lowest vertex in [0, n); ordered by sorted
+    vertices.  No guard: the search of `_contained_stars` at any k."""
+    n, k = t.surface.n, t.surface.k
+    offsets = _cover_offsets(t.class_set(), n)
     # The search looks up neighbours below a star's top vertex z_2k only,
     # which lies two star edges above z_0 < n.
-    reach = n + 2 * max((c.length for c in classes), default=0)
+    reach = n + 2 * max((d for around in offsets for d in around), default=0)
     neighbours = [[v + d for d in offsets[v % n]] for v in range(reach)]
     return _contained_stars(neighbours, range(n), k)
 

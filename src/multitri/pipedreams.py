@@ -36,6 +36,7 @@ CONNECTIONS = {
 }
 
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
+_STEP = {"N": (1, 0), "S": (-1, 0), "E": (0, 1), "W": (0, -1)}
 
 GLYPHS = {BUMP: "B", CROSS: "X", JELBOW: "J", FELBOW: "F"}
 
@@ -56,7 +57,7 @@ class PipePath:
 
 
 def _neighbor(r: int, c: int, side: str) -> tuple[int, int]:
-    dr, dc = {"N": (1, 0), "S": (-1, 0), "E": (0, 1), "W": (0, -1)}[side]
+    dr, dc = _STEP[side]
     return r + dr, c + dc
 
 

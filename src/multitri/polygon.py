@@ -8,6 +8,7 @@ k(2n-2k-1) edges, and decomposes into n-2k star polygons.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -144,10 +145,17 @@ def _checked_edge_set(t: PolygonTriangulation) -> frozenset[Edge]:
     for e in t.edges:
         if not 0 <= e.a < e.b < n:
             raise StructureViolation(f"edge {e} out of range for the {n}-gon")
-    missing = sorted(short_edges(n, k) - edges)
+    d = min(k, n // 2)
+    present = sum(1 for e in edges if cyclic_length(e, n) <= k)
+    missing = n * d - (n // 2 if 2 * d == n else 0) - present
     if missing:
-        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
-        raise StructureViolation(f"edges of length <= {k} missing: {missing[:5]}{more}")
+        # The short edges in sorted order, generated lazily so that the
+        # message costs the size of t, not n*k.
+        shorts = (Edge(a, b) for a in range(n) for b in itertools.chain(
+            range(a + 1, min(a + k, n - 1) + 1), range(max(a + k + 1, n - k + a), n)))
+        first = list(itertools.islice((e for e in shorts if e not in edges), 5))
+        more = f" and {missing - 5} more" if missing > 5 else ""
+        raise StructureViolation(f"edges of length <= {k} missing: {first}{more}")
     return edges
 
 

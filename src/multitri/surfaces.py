@@ -129,15 +129,11 @@ def cyclically_ordered(*xs: int) -> bool:
 def crosses(e: Edge, f: Edge, surface: SurfaceDesc) -> bool:
     """Do the two edges cross in the interior of the surface?
 
-    Edges sharing an endpoint never cross.  On the cylinder the test is run
-    on cover edges, where cyclic interleaving degenerates to plain
-    interleaving of integers.
+    Edges are normalized (a < b), so on both surfaces this is plain
+    interleaving of integers, `cover_crosses`: on the polygon, exactly one
+    endpoint of f strictly inside e.  Edges sharing an endpoint never cross.
     """
-    if surface.kind == CYLINDER:
-        return cover_crosses(e, f)
-    if len({e.a, e.b, f.a, f.b}) != 4:
-        return False
-    return (e.a < f.a < e.b) != (e.a < f.b < e.b)
+    return cover_crosses(e, f)
 
 
 def cover_crosses(e: Edge, f: Edge) -> bool:
@@ -185,17 +181,10 @@ def _crossing_capable(e: Edge, k: int, surface: SurfaceDesc) -> bool:
 
 
 def has_k_plus_1_crossing(edges, k: int, surface: SurfaceDesc) -> bool:
-    """Does the edge set contain k+1 pairwise-crossing edges?"""
-    longs = sorted(e for e in set(edges) if _crossing_capable(e, k, surface))
-    if len(longs) <= k:
-        return False
-    adj = [0] * len(longs)
-    for i, e in enumerate(longs):
-        for j in range(i + 1, len(longs)):
-            if crosses(e, longs[j], surface):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return has_clique(adj, k + 1)
+    """Does the edge set contain k+1 pairwise-crossing edges?  A clique search
+    on the crossing rows of a `CrossingUniverse` of the long enough edges."""
+    longs = [[e] for e in set(edges) if _crossing_capable(e, k, surface)]
+    return len(longs) > k and has_clique(CrossingUniverse(k, longs, own_blocks=False).adj, k + 1)
 
 
 def window_translations(k: int) -> range:

@@ -17,6 +17,7 @@ from multitri import (
     PolygonTriangulation,
     cylinder,
     edge_class_of,
+    enumerate_cylinder,
     polygon,
     short_edges,
 )
@@ -147,6 +148,13 @@ def make_polygon_triangulation(n, k, long_edges):
 def make_cylinder_triangulation(n, k, reps):
     classes = {edge_class_of(Edge(*sorted(r)), n) for r in reps}
     return CylinderTriangulation(cylinder(n, k), tuple(sorted(classes)))
+
+
+@pytest.fixture(scope="session")
+def cylinder_k2_triangulations():
+    """`enumerate_cylinder(cylinder(n, 2))` for n = 1..5, keyed by n; C_5
+    alone takes seconds, so it is enumerated once per session."""
+    return {n: enumerate_cylinder(cylinder(n, 2)) for n in range(1, 6)}
 
 
 @pytest.fixture(scope="session")

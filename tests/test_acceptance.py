@@ -166,11 +166,11 @@ def test_acceptance_04_cylinder_count_reports():
         f"{bad} exceptions, {elapsed:.1f}s < 600s")
 
 
-def test_acceptance_05_unique_spanning_class():
+def test_acceptance_05_unique_spanning_class(cylinder_k2_triangulations):
     bad = 0
     total = 0
     for n in range(1, 6):
-        for t in enumerate_cylinder(cylinder(n, 2)):
+        for t in cylinder_k2_triangulations[n]:
             total += 1
             spanning = [c for c in t.classes if c.rep.length == 2 * n]
             if len(spanning) != 1 or unique_spanning_class(t) != spanning[0]:

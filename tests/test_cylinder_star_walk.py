@@ -81,8 +81,8 @@ def test_walk_matches_angle_search_on_every_triangulation(n):
         assert stars_of(t) == oracle_stars_of(t)
 
 
-def test_walk_matches_angle_search_on_every_49th_triangulation_of_c5():
-    for t in enumerate_cylinder(cylinder(5, 2))[::49]:
+def test_walk_matches_angle_search_on_every_49th_triangulation_of_c5(cylinder_k2_triangulations):
+    for t in cylinder_k2_triangulations[5][::49]:
         assert stars_of(t) == oracle_stars_of(t)
 
 

@@ -46,9 +46,9 @@ def oracle_flip_via_polygon(t, e):
 
 
 @pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 7)])
-def test_stars_backend_matches_polygon_route(n, step):
+def test_stars_backend_matches_polygon_route(n, step, cylinder_k2_triangulations):
     flipped = 0
-    for t in enumerate_cylinder(cylinder(n, 2))[::step]:
+    for t in cylinder_k2_triangulations[n][::step]:
         for e in t.relevant_classes():
             assert flips._flip_via_stars(t, e) == oracle_flip_via_polygon(t, e), (t, e)
             flipped += 1

@@ -203,6 +203,17 @@ def test_cli_missing_edge_message_is_bounded(tmp_path, capsys):
     assert len(err.encode()) < 1024
 
 
+def test_cli_missing_edge_check_is_bounded_by_input_size(tmp_path, capsys):
+    """A 52-byte input naming a million-gon is rejected without building its
+    n*k short edges."""
+    path = tmp_path / "input.json"
+    path.write_text('{"surface":"polygon","n":1000000,"k":1,"edges":[]}')
+    start = time.perf_counter()
+    assert main(["pipedream", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 2
+    assert "and 999995 more" in capsys.readouterr().err
+
+
 def test_cli_flip(tmp_path, capsys, t_left):
     path = _write_input(tmp_path, t_left)
     assert main(["flip", "--input", path, "--edge", "1,6"]) == 0

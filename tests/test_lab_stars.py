@@ -31,6 +31,7 @@ from multitri import (
     relevant_class_candidates,
     stars_containing_angle,
 )
+import multitri.conjectures as conjectures
 from multitri.conjectures import _star_count_general
 from multitri.cylinder import Angle
 
@@ -150,3 +151,14 @@ def test_k3_n3_reports_frozen(check, name):
     conjectures: the full reports of the lab at C_3, k=3."""
     frozen = json.loads((DATA / name).read_text())
     assert json.loads(json.dumps(check(3, 3))) == frozen
+
+
+def test_star_decomposition_check_searches_once_per_triangulation(monkeypatch):
+    """One cover star search per triangulation, not one per relevant angle
+    (2,970 at C_3, k=3)."""
+    searched = []
+    search = conjectures._cover_stars
+    monkeypatch.setattr(conjectures, "_cover_stars", lambda t: searched.append(t) or search(t))
+    report = check_star_decomposition_k(3, 3)
+    assert len(searched) == len(set(searched)) == 216
+    assert report["angles_checked"] > 216

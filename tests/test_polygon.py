@@ -8,6 +8,7 @@ backtracking enumerator.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from multitri import (
     validate_polygon_triangulation,
 )
 from multitri.errors import NotInTriangulation, NotRelevant, StructureViolation
+from multitri.polygon import _checked_edge_set
 
 from conftest import POLYGON_COUNTS, make_polygon_triangulation
 
@@ -203,3 +205,24 @@ def test_tiny_polygons_have_unique_triangulation():
     ts = enumerate_polygon(polygon(5, 2))
     assert len(ts) == 1
     assert len(ts[0].edges) == 10
+
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_missing_short_edge_message_matches_set_difference(n):
+    """The check counts the missing short edges by a closed form and lists
+    the first five lazily; its message is the one the full sorted difference
+    with `short_edges` gives."""
+    rng = random.Random(n)
+    for k in range(1, n // 2 + 2):
+        for density in (0.0, 0.3, 0.8, 0.95, 1.0):
+            t = PolygonTriangulation(
+                polygon(n, k), tuple(e for e in all_edges(n) if rng.random() < density))
+            missing = sorted(short_edges(n, k) - t.edge_set())
+            if not missing:
+                assert _checked_edge_set(t) == t.edge_set()
+                continue
+            more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+            with pytest.raises(StructureViolation) as raised:
+                _checked_edge_set(t)
+            assert str(raised.value) == f"edges of length <= {k} missing: {missing[:5]}{more}"
