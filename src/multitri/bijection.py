@@ -32,7 +32,7 @@ class PeriodicPolygonTriangulation:
                 f"period {self.period} with k={k} needs a {2 * k * self.period}-gon, got {m}")
         edges = self.inner.edge_set()
         for e in self.inner.edges:
-            shifted = Edge(*sorted(((e.a + self.period) % m, (e.b + self.period) % m)))
+            shifted = Edge((e.a + self.period) % m, (e.b + self.period) % m)
             if shifted not in edges:
                 raise NotPeriodic(
                     f"edge {e} present but its shift by {self.period} is not")
@@ -48,7 +48,7 @@ def orbit_of_class(c: EdgeClass, k: int) -> list[Edge]:
     """The polygon edges the class wraps onto, 2k of them (k if spanning)."""
     m = 2 * k * c.n
     edges = {
-        Edge(*sorted(((c.rep.a + t * c.n) % m, (c.rep.b + t * c.n) % m)))
+        Edge((c.rep.a + t * c.n) % m, (c.rep.b + t * c.n) % m)
         for t in range(2 * k)
     }
     return sorted(edges)

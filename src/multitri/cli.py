@@ -188,7 +188,7 @@ def cmd_flip(args) -> int:
         a, b = (int(part) for part in args.edge.split(","))
     except ValueError:
         raise ValueError(f"--edge wants 'a,b' integers, got {args.edge!r}") from None
-    e = edge_class_of(Edge(*sorted((a, b))), t.surface.n)
+    e = edge_class_of(Edge(a, b), t.surface.n)
     flipped, f = orbit_flip(t, e)
     sys.stdout.write(json.dumps(serialize_triangulation(flipped)) + "\n")
     print(f"flipped {e.rep.a},{e.rep.b} to {f.rep.a},{f.rep.b}", file=sys.stderr)

@@ -15,12 +15,13 @@ from .cylinder import (
     ENUMERATION_BUDGET,
     CylinderTriangulation,
     _cover_stars,
+    _stars_with_angle,
     enumerate_cylinder,
     find_angles,
     relevant_class_candidates,
 )
 from .errors import LengthPrecondition, NotPeriodic, StructureViolation, TooLarge
-from .polygon import enumerate_shift_invariant, make_star
+from .polygon import enumerate_shift_invariant
 from .surfaces import EdgeClass, bits, cylinder, lift_universe, polygon
 
 
@@ -49,20 +50,6 @@ def stars_containing_angle(t: CylinderTriangulation, angle) -> list:
     angle, among the stars of `_cover_stars`: the same search at every k,
     which is the point of the lab."""
     return _stars_with_angle(_cover_stars(t), angle, t.surface.n)
-
-
-def _stars_with_angle(stars, angle, n: int) -> list:
-    """The translates of the star orbits `stars` of C_n that have the apex v
-    as a vertex with star neighbours u and w, ordered by sorted vertices."""
-    u, v, w = angle.u, angle.v, angle.w
-    found = []
-    for star in stars:
-        s = star.vertices
-        for j, x in enumerate(s):
-            shift = v - x
-            if shift % n == 0 and {s[j - 1] + shift, s[(j + 1) % len(s)] + shift} == {u, w}:
-                found.append(make_star(tuple(sorted(y + shift for y in s))))
-    return sorted(found, key=lambda star: sorted(star.vertices))
 
 
 def check_star_decomposition_k(n: int, k: int) -> dict:
@@ -155,11 +142,6 @@ def check_bijection_k(n: int, k: int) -> dict:
     }
 
 
-def _star_count_general(t: CylinderTriangulation) -> int:
-    """The number of star orbits contained in the lift, at any k."""
-    return len(_cover_stars(t))
-
-
 def check_counts_k(n: int, k: int) -> dict:
     """Observed (stars, relevant, total) against (n-1, k(n-1), k(2n-1))."""
     _budget_gate(n, k)
@@ -169,7 +151,7 @@ def check_counts_k(n: int, k: int) -> dict:
     for idx, t in enumerate(enumerate_cylinder(cylinder(n, k))):
         count += 1
         observed = (
-            _star_count_general(t),
+            len(_cover_stars(t)),
             len(t.relevant_classes()),
             len(t.classes),
         )

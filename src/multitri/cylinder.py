@@ -23,7 +23,6 @@ from .surfaces import (
     cyclically_ordered,
     edge_class_of,
     lift_universe,
-    window_translations,
 )
 
 ENUMERATION_BUDGET = {1: 6, 2: 5, 3: 3}
@@ -62,7 +61,7 @@ class Angle:
     relevant: bool
 
     def sides(self) -> tuple[Edge, Edge]:
-        return Edge(*sorted((self.u, self.v))), Edge(*sorted((self.v, self.w)))
+        return Edge(self.u, self.v), Edge(self.v, self.w)
 
     def __repr__(self):
         return f"<{self.u},{self.v},{self.w}>"
@@ -156,21 +155,13 @@ def find_angles(t: CylinderTriangulation) -> list[Angle]:
     return angles
 
 
-def _arc_key(x: int, start: int, stop: int) -> tuple[int, int]:
-    """Position of x along the arc from start to stop, possibly through infinity."""
-    if start < stop:
-        return (0, x)
-    return (0, x) if x > start else (1, x)
-
-
 def star_of_angle(t: CylinderTriangulation, angle: Angle) -> KStar:
-    """The star of the lift having this angle.
+    """The star of the lift having this angle: the one translate of a star of
+    `stars_of` with the angle at its apex.
 
-    The star's remaining two vertices a, b are the endpoints of the edge
-    crossing the angle closest to the chord from u to w; its existence and
-    dominance in both coordinates is guaranteed for relevant angles when
-    k=2, and the construction double-checks by verifying all five star
-    edges against the lift.
+    At k=2 the lift of a triangulation decomposes into stars, so every
+    relevant angle lies in exactly one.  Raises StructureViolation where
+    `stars_of` does, or when the angle lies in no star or in several.
     """
     n, k = t.surface.n, t.surface.k
     if k != 2:
@@ -178,31 +169,24 @@ def star_of_angle(t: CylinderTriangulation, angle: Angle) -> KStar:
     if not angle.relevant:
         raise LengthPrecondition(
             f"angle {angle} has no side of length strictly between {k} and {k * n}")
+    found = _stars_with_angle(stars_of(t), angle, n)
+    if len(found) != 1:
+        raise StructureViolation(f"angle {angle} lies in {len(found)} stars, expected 1")
+    return found[0]
+
+
+def _stars_with_angle(stars, angle: Angle, n: int) -> list[KStar]:
+    """The translates of the star orbits `stars` of C_n that have the apex v
+    as a vertex with star neighbours u and w, ordered by sorted vertices."""
     u, v, w = angle.u, angle.v, angle.w
-    cands = []
-    for c in t.classes:
-        for s in window_translations(k):
-            e = c.translate(s)
-            for a, b in ((e.a, e.b), (e.b, e.a)):
-                if cyclically_ordered(u, a, v) and cyclically_ordered(v, b, w):
-                    cands.append((a, b))
-    if not cands:
-        raise StructureViolation(f"no edge of the lift crosses angle {angle}")
-    best_a = min(_arc_key(a, u, v) for a, b in cands)
-    best_b = max(_arc_key(b, v, w) for a, b in cands)
-    dominant = [
-        (a, b) for a, b in cands
-        if _arc_key(a, u, v) == best_a and _arc_key(b, v, w) == best_b
-    ]
-    if len(dominant) != 1:
-        raise StructureViolation(
-            f"no single edge is maximal in both directions across {angle}")
-    a, b = dominant[0]
-    star = make_star(tuple(sorted((u, a, v, b, w))))
-    for e in star.edges:
-        if not t.contains_edge(e):
-            raise StructureViolation(f"star edge {e} of angle {angle} missing from the lift")
-    return star
+    found = []
+    for star in stars:
+        s = star.vertices
+        for j, x in enumerate(s):
+            shift = v - x
+            if shift % n == 0 and {s[j - 1] + shift, s[(j + 1) % len(s)] + shift} == {u, w}:
+                found.append(make_star(tuple(sorted(y + shift for y in s))))
+    return sorted(found, key=lambda star: sorted(star.vertices))
 
 
 def canonical_star(star: KStar, n: int) -> KStar:
@@ -238,9 +222,12 @@ def stars_of(t: CylinderTriangulation) -> list[KStar]:
 
 def _cover_offsets(classes, n: int) -> list[list[int]]:
     """Per residue r mod n, the sorted signed offsets of the lift edges at a
-    vertex congruent to r: class ~[a,b] gives +(b-a) at a and -(b-a) at b."""
+    vertex congruent to r: class ~[a,b] gives +(b-a) at a and -(b-a) at b.
+    StructureViolation on a class of another period."""
     offsets: list[list[int]] = [[] for _ in range(n)]
     for c in classes:
+        if c.n != n:
+            raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
         offsets[c.rep.a].append(c.length)
         offsets[c.rep.b % n].append(-c.length)
     for around in offsets:

@@ -16,6 +16,7 @@ from .bijection import PeriodicPolygonTriangulation, class_of_polygon_edge, orbi
 from .cylinder import (
     ENUMERATION_BUDGET,
     CylinderTriangulation,
+    _cover_stars,
     enumerate_cylinder,
     stars_of,
 )
@@ -42,10 +43,11 @@ def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
     """Flip on the cover: the sole bisector, of a class absent from t, of the
     two stars of the lift holding e's representative, wrapped onto the
     2kn-gon.  A spanning class lies in one star orbit; its second holder is
-    that star moved by kn, which wraps onto the same diameter."""
+    that star moved by kn, which wraps onto the same diameter.  No guard:
+    `orbit_flip` has checked t's lift."""
     n, k = t.surface.n, t.surface.k
     holders = [[v + e.rep.a - f.a for v in star.vertices]
-               for star in stars_of(t) for f in star.edges if edge_class_of(f, n) == e]
+               for star in _cover_stars(t) for f in star.edges if edge_class_of(f, n) == e]
     if e.is_spanning(k):
         holders += [[v + k * n for v in star] for star in holders]
     if len(holders) != 2:
@@ -95,6 +97,16 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
     if not e.is_relevant(k):
         raise NotRelevant(f"{e} has length {e.length} <= k={k}, not flippable")
     p = phi(t)
+    # phi(t) has rejected an image with a (k+1)-crossing, and that covers
+    # t's lift once no class is longer than kn (checked by `indices`, with
+    # the period): the edges of a lift (k+1)-crossing interleave as
+    # a_0 < ... < a_k < b_0 < ... < b_k, so their endpoints span
+    # b_k - a_0 < (b_k - a_k) + (b_0 - a_0) <= 2kn and wrap onto a
+    # (k+1)-crossing of the 2kn-gon.
+    if len(t.class_set()) != len(t.classes):
+        raise StructureViolation("duplicate classes")
+    universe = lift_universe(t.surface.n, k)
+    universe.indices(t.classes)
     f_stars = _flip_via_stars(t, e)
     f_chevron = _flip_via_chevron(p, e)
     if f_stars != f_chevron:
@@ -102,7 +114,6 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
             f"flip backends disagree on {e}: stars give {f_stars}, "
             f"chevron gives {f_chevron}")
     classes = tuple(sorted(set(t.classes) - {e} | {f_stars}))
-    universe = lift_universe(t.surface.n, k)
     if not universe.crossing_free(universe.indices(classes)):
         raise StructureViolation(f"flip of {e} to {f_stars} created a crossing")
     return CylinderTriangulation(t.surface, classes), f_stars

@@ -229,7 +229,7 @@ def chevron_from_staircase(p: PipeDream) -> PipeDream:
 
 def cell_edge(r: int, c: int, m: int) -> Edge:
     """The polygon edge a tile carries, 0-indexed, labels taken modulo m."""
-    return Edge(*sorted(((r - 1) % m, (c - 1) % m)))
+    return Edge((r - 1) % m, (c - 1) % m)
 
 
 def _orbit_key(e: Edge, n: int, m: int):

@@ -70,7 +70,7 @@ def make_star(sorted_vertices: tuple[int, ...]) -> KStar:
     m = len(z)
     k = (m - 1) // 2
     order = tuple(z[(k * j) % m] for j in range(m))
-    edges = tuple(Edge(*sorted((order[j], order[(j + 1) % m]))) for j in range(m))
+    edges = tuple(Edge(order[j], order[(j + 1) % m]) for j in range(m))
     return KStar(order, edges)
 
 
@@ -250,7 +250,7 @@ def _bisectors(r: KStar, s: KStar) -> set[Edge]:
                 continue
             uy, wy = _star_angle_at(s, y)
             if _bisects(x, y, ux, wx) and _bisects(y, x, uy, wy):
-                found.add(Edge(*sorted((x, y))))
+                found.add(Edge(x, y))
     return found
 
 
@@ -293,7 +293,7 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
 def is_shift_invariant(t: PolygonTriangulation, shift: int) -> bool:
     edges = t.edge_set()
     return all(
-        Edge(*sorted(((e.a + shift) % t.surface.n, (e.b + shift) % t.surface.n))) in edges
+        Edge((e.a + shift) % t.surface.n, (e.b + shift) % t.surface.n) in edges
         for e in t.edges)
 
 

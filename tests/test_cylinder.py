@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from multitri import (
     CylinderTriangulation,
     Edge,
+    EdgeClass,
     TooLarge,
     canonical_star,
     check_maximal_lifting,
@@ -18,10 +21,12 @@ from multitri import (
     relevant_class_candidates,
     short_classes,
     star_of_angle,
+    stars_containing_angle,
     stars_of,
     unique_spanning_class,
     validate_cylinder_triangulation,
 )
+from multitri.cylinder import Angle
 from multitri.errors import LengthPrecondition, StructureViolation
 
 from conftest import CYLINDER_COUNTS_K2
@@ -125,6 +130,19 @@ def test_star_of_angle_rejects_irrelevant(t_left):
     bland = next(a for a in find_angles(t_left) if not a.relevant)
     with pytest.raises(LengthPrecondition):
         star_of_angle(t_left, bland)
+
+
+@pytest.mark.parametrize("other", [(2, 5), (1, 4)])
+def test_class_of_another_period_raises_structure_violation(other):
+    """The per-residue table rejects a class of period 3 on C_2, whether its
+    representative starts past the table (~[2,5]) or inside it (~[1,4])."""
+    c = EdgeClass(Edge(*other), 3)
+    t = CylinderTriangulation(cylinder(2, 2), (edge_class_of(Edge(0, 1), 2), c))
+    message = re.escape(f"class {c} has period 3, surface has 2")
+    with pytest.raises(StructureViolation, match=message):
+        find_angles(t)
+    with pytest.raises(StructureViolation, match=message):
+        stars_containing_angle(t, Angle(-3, 0, 1, True))
 
 
 def test_stars_of_counts():

@@ -1,10 +1,14 @@
-"""The star walk of `stars_of` against the angle-by-angle search.
+"""The contained-star search against the angle-by-angle window scan.
 
-`oracle_stars_of` locates the stars one angle at a time: every relevant
-angle of `find_angles` gives its star through `star_of_angle`, translated
-by `canonical_star`.  `stars_of` walks the stars on the cover and must
-return the same list on every 2-triangulation, and `count_report` must
-reach the same verdict with either on sets that are not triangulations.
+`oracle_star_of_angle` locates the star of one relevant angle by scanning
+every class at every translate of `window_translations` for the edge
+crossing the angle closest to its chord.  `oracle_stars_of` runs it on
+every relevant angle of `find_angles` and translates each star by
+`canonical_star`.  `stars_of` walks the stars on the cover and must return
+the same list on every 2-triangulation, `star_of_angle` reads an angle's
+star off that list and must give the scan's outcome, and `count_report`
+must reach the same verdict with either on sets that are not
+triangulations.
 """
 
 from __future__ import annotations
@@ -19,35 +23,111 @@ from multitri import (
     KStar,
     canonical_star,
     count_report,
+    cyclically_ordered,
     cylinder,
     edge_class_of,
     enumerate_cylinder,
     expected_class_count,
     find_angles,
     find_multi_representative_stars,
+    make_star,
     relevant_class_candidates,
     short_classes,
     star_of_angle,
     stars_of,
+    window_translations,
 )
 from multitri import bijection
 from multitri.conjectures import check_counts_k
+from multitri.cylinder import Angle
 from multitri.errors import LengthPrecondition, StructureViolation
 from multitri.surfaces import Edge, lift_universe
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _arc_key(x: int, start: int, stop: int) -> tuple[int, int]:
+    """Position of x along the arc from start to stop, possibly through infinity."""
+    if start < stop:
+        return (0, x)
+    return (0, x) if x > start else (1, x)
+
+
+def oracle_star_of_angle(t: CylinderTriangulation, angle: Angle) -> KStar:
+    """The star of the lift having this angle.
+
+    The star's remaining two vertices a, b are the endpoints of the edge
+    crossing the angle closest to the chord from u to w; its existence and
+    dominance in both coordinates is guaranteed for relevant angles when
+    k=2, and the construction double-checks by verifying all five star
+    edges against the lift.
+    """
+    n, k = t.surface.n, t.surface.k
+    if k != 2:
+        raise LengthPrecondition(f"star location is established for k=2 only, got k={k}")
+    if not angle.relevant:
+        raise LengthPrecondition(
+            f"angle {angle} has no side of length strictly between {k} and {k * n}")
+    u, v, w = angle.u, angle.v, angle.w
+    cands = []
+    for c in t.classes:
+        for s in window_translations(k):
+            e = c.translate(s)
+            for a, b in ((e.a, e.b), (e.b, e.a)):
+                if cyclically_ordered(u, a, v) and cyclically_ordered(v, b, w):
+                    cands.append((a, b))
+    if not cands:
+        raise StructureViolation(f"no edge of the lift crosses angle {angle}")
+    best_a = min(_arc_key(a, u, v) for a, b in cands)
+    best_b = max(_arc_key(b, v, w) for a, b in cands)
+    dominant = [
+        (a, b) for a, b in cands
+        if _arc_key(a, u, v) == best_a and _arc_key(b, v, w) == best_b
+    ]
+    if len(dominant) != 1:
+        raise StructureViolation(
+            f"no single edge is maximal in both directions across {angle}")
+    a, b = dominant[0]
+    star = make_star(tuple(sorted((u, a, v, b, w))))
+    for e in star.edges:
+        if not t.contains_edge(e):
+            raise StructureViolation(f"star edge {e} of angle {angle} missing from the lift")
+    return star
+
+
 def oracle_stars_of(t: CylinderTriangulation) -> list[KStar]:
     """The distinct stars of the lift, up to translation, via their angles."""
-    n = t.surface.n
+    located = [oracle_star_of_angle(t, angle) for angle in _relevant_angles(t)]
+    return _distinct_orbits(located, t.surface.n)
+
+
+def _distinct_orbits(stars, n: int) -> list[KStar]:
     found: dict[tuple[int, ...], KStar] = {}
-    for angle in find_angles(t):
-        if not angle.relevant:
-            continue
-        star = canonical_star(star_of_angle(t, angle), n)
+    for star in stars:
+        star = canonical_star(star, n)
         found[tuple(sorted(star.vertices))] = star
     return [found[key] for key in sorted(found)]
+
+
+def _assert_matches_angle_search(t: CylinderTriangulation):
+    """`star_of_angle` gives the scan's star on every relevant angle, and
+    `stars_of` the orbits of those stars."""
+    angles = _relevant_angles(t)
+    located = [oracle_star_of_angle(t, angle) for angle in angles]
+    assert [star_of_angle(t, angle) for angle in angles] == located
+    assert stars_of(t) == _distinct_orbits(located, t.surface.n)
+
+
+def _relevant_angles(t: CylinderTriangulation):
+    return [angle for angle in find_angles(t) if angle.relevant]
+
+
+def _located(locate, t: CylinderTriangulation, angle: Angle):
+    """The star `locate` finds for the angle, or StructureViolation."""
+    try:
+        return locate(t, angle)
+    except StructureViolation:
+        return StructureViolation
 
 
 def _verdict(t: CylinderTriangulation):
@@ -78,12 +158,12 @@ def _with_classes(surface, classes) -> CylinderTriangulation:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_matches_angle_search_on_every_triangulation(n):
     for t in enumerate_cylinder(cylinder(n, 2)):
-        assert stars_of(t) == oracle_stars_of(t)
+        _assert_matches_angle_search(t)
 
 
 def test_walk_matches_angle_search_on_every_49th_triangulation_of_c5(cylinder_k2_triangulations):
     for t in cylinder_k2_triangulations[5][::49]:
-        assert stars_of(t) == oracle_stars_of(t)
+        _assert_matches_angle_search(t)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -98,6 +178,24 @@ def test_count_report_verdicts_unchanged_on_variants(n, monkeypatch):
     absent = 2 * (n - 1) ** 2  # relevant candidates less the relevant classes
     per_t = expected_class_count(n, 2) + absent + 2 * (n - 1) * absent
     assert len(probes) == len(triangulations) * per_t
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_star_of_angle_matches_scan_on_crossing_free_variants(n):
+    """The same star, or both raise, on every relevant angle of the variants
+    whose lift is crossing-free: 112 angles at C_2 and 4,332 at C_3."""
+    universe = lift_universe(n, 2)
+    checked = 0
+    for t in enumerate_cylinder(cylinder(n, 2)):
+        for v in _variants(t):
+            probe = _with_classes(t.surface, v)
+            if not universe.crossing_free(universe.indices(probe.classes)):
+                continue
+            for angle in _relevant_angles(probe):
+                assert (_located(star_of_angle, probe, angle)
+                        == _located(oracle_star_of_angle, probe, angle)), (probe, angle)
+                checked += 1
+    assert checked == {2: 112, 3: 4332}[n]
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (2, 3), (3, 3)])
@@ -127,7 +225,9 @@ def test_c2_at_k1_walks_its_triangle():
 
 def test_crossing_lift_raises_structure_violation():
     """A swap of C_3 with k(2n-1) classes whose lift has a 3-crossing; the
-    walk without the crossing guard closes on two stars here."""
+    walk without the crossing guard closes on two stars here.  The scan finds
+    a contained star for four of its relevant angles, and `star_of_angle`
+    raises on them like `stars_of`."""
     relevant = [(0, 3), (0, 5), (0, 6), (1, 4)]
     classes = short_classes(3, 2) + [edge_class_of(Edge(a, b), 3) for a, b in relevant]
     t = _with_classes(cylinder(3, 2), classes)
@@ -138,6 +238,12 @@ def test_crossing_lift_raises_structure_violation():
         stars_of(t)
     with pytest.raises(StructureViolation, match="missing from the lift"):
         oracle_stars_of(t)
+    scanned = [angle for angle in _relevant_angles(t)
+               if _located(oracle_star_of_angle, t, angle) is not StructureViolation]
+    assert len(scanned) == 4
+    for angle in scanned:
+        with pytest.raises(StructureViolation, match="3-crossing"):
+            star_of_angle(t, angle)
 
 
 def test_duplicate_class_raises_structure_violation():

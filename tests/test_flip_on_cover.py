@@ -3,8 +3,8 @@
 `oracle_flip_via_polygon` is the route the stars backend replaced: wrap t
 onto the 2kn-gon with `phi`, flip the class representative there with
 `polygon_flip` (which searches every star of the image) and unwrap the
-new edge.  `_flip_via_stars` reads the two holder stars from `stars_of(t)`
-and must name the same class on every relevant-class flip.  The flipped
+new edge.  `_flip_via_stars` reads the two holder stars from
+`_cover_stars(t)` and must name the same class on every relevant-class flip.  The flipped
 family is no longer rebuilt through `phi`; the tests below show that the
 two backends still catch each other out.
 """
