@@ -23,6 +23,7 @@ from .surfaces import (
     cyclically_ordered,
     edge_class_of,
     lift_universe,
+    window_translations,
 )
 
 ENUMERATION_BUDGET = {1: 6, 2: 5, 3: 3}
@@ -97,8 +98,12 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
         raise TooLarge(
             f"cylinder enumeration budget is n <= {limit} for k={k}, got n={n}")
     universe, shorts = lift_universe(n, k), short_classes(n, k)
+    # Purity of the complex is proved at k=2 only; elsewhere the leaf test
+    # decides maximality.
+    size = ((expected_class_count(n, k) - len(shorts)) * len(window_translations(k))
+            if k == 2 else None)
     found = [tuple(sorted(shorts + [universe.classes[i] for i in bits(picked)]))
-             for picked in universe.maximal_sets()]
+             for picked in universe.maximal_sets(size)]
     return [CylinderTriangulation(surface, cs) for cs in sorted(found)]
 
 

@@ -119,8 +119,10 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
     orbits = sorted({orbit(e) for e in relevant_candidates(n, k)})
     universe = CrossingUniverse(k, orbits, own_blocks=False)
     shorts = sorted(short_edges(n, k))
+    # Polygon purity: every k-triangulation has expected_edge_count edges.
+    size = expected_edge_count(n, k) - len(shorts)
     found = [tuple(sorted(shorts + [universe.edges[p] for p in bits(universe.lift(bits(picked)))]))
-             for picked in universe.maximal_sets()]
+             for picked in universe.maximal_sets(size)]
     return [PolygonTriangulation(surface, edges) for edges in sorted(found)]
 
 

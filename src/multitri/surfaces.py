@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import EdgeTooLong
+from .errors import EdgeTooLong, StructureViolation
 
 POLYGON = "polygon"
 CYLINDER = "cylinder"
@@ -155,21 +155,21 @@ def has_clique(adj: list[int], size: int, within: int | None = None) -> bool:
     """
     if size <= 0:
         return True
-    full = within if within is not None else (1 << len(adj)) - 1
+    return _grow(adj, within if within is not None else (1 << len(adj)) - 1, size)
 
-    def grow(cand: int, need: int) -> bool:
-        if need == 0:
+
+def _grow(adj: list[int], cand: int, need: int) -> bool:
+    """Can `need` more pairwise-adjacent vertices be picked from `cand`?"""
+    if need == 1:
+        return cand != 0
+    while cand:
+        if cand.bit_count() < need:
+            return False
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        if _grow(adj, cand & adj[v], need - 1):
             return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if grow(cand & adj[v], need - 1):
-                return True
-        return False
-
-    return grow(full, size)
+    return False
 
 
 def _crossing_capable(e: Edge, k: int, surface: SurfaceDesc) -> bool:
@@ -232,7 +232,7 @@ class CrossingUniverse:
         mask = self.lift(indices)
         return not any(self.blocked(i, mask) for i in indices)
 
-    def maximal_sets(self) -> list[int]:
+    def maximal_sets(self, size: int | None = None) -> list[int]:
         """Every maximal (k+1)-crossing-free union of groups, as a mask of
         group indices.
 
@@ -254,29 +254,38 @@ class CrossingUniverse:
           set is kept only when no single absent edge can be added, which
           keeps the lab's k=3 bijection check meaningful against the
           class-maximal cylinder side.
+        - `size`, where given, is the number of member bits of every maximal
+          set, so it may only be passed where the complex is pure: for the
+          polygon at every k (Nakamigawa; Dress-Koolen-Moulton), and for
+          the cylinder at k=2 (this paper).  Excluding is then also cut
+          once fewer than `size` members stay possible, and a leaf is kept
+          without the test above: it is crossing-free with `size` members,
+          and every crossing-free set extends to a maximal one of that size.
         Every node calls `has_clique` through this module's global.
         """
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
         own = members if self.own_blocks else [0] * len(members)
-        size = len(members)
+        count, floor = len(members), size or 0
         found: list[int] = []
 
         def rec(i: int, picked: int, lift: int, possible: int):
-            if i == size:
-                for j in range(size):
-                    if not lift & members[j] and not has_clique(
-                            adj, k, within=rows[j] & (lift | own[j])):
-                        return
+            if i == count:
+                if size is None:
+                    for j in range(count):
+                        if not lift & members[j] and not has_clique(
+                                adj, k, within=rows[j] & (lift | own[j])):
+                            return
                 found.append(picked)
                 return
             group = members[i]
             if not has_clique(adj, k, within=rows[i] & (lift | group)):
                 rec(i + 1, picked | 1 << i, lift | group, possible)
             possible &= ~group
-            if has_clique(adj, k, within=rows[i] & (possible | own[i])):
+            if possible.bit_count() >= floor and has_clique(
+                    adj, k, within=rows[i] & (possible | own[i])):
                 rec(i + 1, picked, lift, possible)
 
-        rec(0, 0, 0, self.lift(range(size)))
+        rec(0, 0, 0, self.lift(range(count)))
         return found
 
 
@@ -301,7 +310,7 @@ class LiftUniverse(CrossingUniverse):
             if c.length > self.k * self.n:
                 raise EdgeTooLong(f"class {c} has length {c.length} > k*n = {self.k * self.n}")
             if c.n != self.n:
-                raise ValueError(f"class {c} has period {c.n}, expected {self.n}")
+                raise StructureViolation(f"class {c} has period {c.n}, surface has {self.n}")
             if c.length > self.k:
                 found.append(self.index[c])
         return found

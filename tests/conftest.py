@@ -45,6 +45,14 @@ POLYGON_COUNTS = {
     (12, 3): 81796,
 }
 
+# (m, k, shift) and the number of k-triangulations of the m-gon invariant
+# under rotation by shift, from the frozenset oracle of test_shift_invariant.
+SHIFT_INVARIANT_COUNTS = {
+    (8, 1, 4): 20, (9, 1, 3): 6, (10, 1, 5): 70, (12, 1, 4): 20, (12, 1, 6): 252,
+    (8, 2, 2): 4, (8, 2, 4): 20, (9, 2, 3): 0, (10, 2, 5): 175, (12, 2, 3): 36,
+    (12, 2, 4): 0, (12, 3, 2): 8, (12, 3, 4): 40,
+}
+
 # Half-cylinder counts for k=2, confirmed against the shift-invariant
 # polygon enumeration for n <= 3.
 CYLINDER_COUNTS_K2 = {1: 1, 2: 4, 3: 36, 4: 400, 5: 4900}

@@ -13,11 +13,13 @@ from multitri import (
     TooLarge,
     canonical_star,
     check_maximal_lifting,
+    count_report,
     cylinder,
     edge_class_of,
     enumerate_cylinder,
     expected_class_count,
     find_angles,
+    orbit_flip,
     relevant_class_candidates,
     short_classes,
     star_of_angle,
@@ -134,15 +136,21 @@ def test_star_of_angle_rejects_irrelevant(t_left):
 
 @pytest.mark.parametrize("other", [(2, 5), (1, 4)])
 def test_class_of_another_period_raises_structure_violation(other):
-    """The per-residue table rejects a class of period 3 on C_2, whether its
-    representative starts past the table (~[2,5]) or inside it (~[1,4])."""
+    """The per-residue table and the lift universe reject a class of period
+    3 on C_2 with one message, whether its representative starts past the
+    table (~[2,5]) or inside it (~[1,4]).  `orbit_flip` rejects the same
+    input already in `phi`, on its edge count."""
     c = EdgeClass(Edge(*other), 3)
     t = CylinderTriangulation(cylinder(2, 2), (edge_class_of(Edge(0, 1), 2), c))
     message = re.escape(f"class {c} has period 3, surface has 2")
-    with pytest.raises(StructureViolation, match=message):
-        find_angles(t)
-    with pytest.raises(StructureViolation, match=message):
-        stars_containing_angle(t, Angle(-3, 0, 1, True))
+    angle = Angle(-3, 0, 1, True)
+    for call in (find_angles, stars_of, count_report, validate_cylinder_triangulation,
+                 lambda t: stars_containing_angle(t, angle),
+                 lambda t: star_of_angle(t, angle)):
+        with pytest.raises(StructureViolation, match=message):
+            call(t)
+    with pytest.raises(StructureViolation):
+        orbit_flip(t, c)
 
 
 def test_stars_of_counts():

@@ -87,7 +87,7 @@ def test_class_longer_than_kn_raises():
 
 
 def test_class_of_another_period_raises():
-    with pytest.raises(ValueError, match="period"):
+    with pytest.raises(StructureViolation, match="period 4, surface has 3"):
         is_periodic_crossing_free([edge_class_of(Edge(0, 4), 4)], 2, 3)
 
 

@@ -1,0 +1,135 @@
+"""The purity size bound of `CrossingUniverse.maximal_sets` against the
+leaf-check search.
+
+With no `size`, `maximal_sets` tests every absent group at each leaf and
+prunes on no count; that search is the oracle.  `unbounded` runs an
+enumerator with every size it passes dropped, and the bounded enumerator
+must return the same list.  The largest budget instances are too slow for
+the oracle and are checked against the Catalan-Hankel counts instead, apart
+from the 81,796 triangulations of the 12-gon at k=3: their search alone
+takes about 20 s, so (11, 3) is the largest k=3 instance checked here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import CYLINDER_COUNTS_K2, POLYGON_COUNTS, SHIFT_INVARIANT_COUNTS
+from multitri import (
+    cylinder,
+    enumerate_cylinder,
+    enumerate_polygon,
+    enumerate_shift_invariant,
+    expected_class_count,
+    expected_edge_count,
+    polygon,
+    validate_cylinder_triangulation,
+)
+from multitri import surfaces
+from multitri.polygon import ENUMERATION_BUDGET
+from multitri.surfaces import CrossingUniverse, window_translations
+
+maximal_sets = CrossingUniverse.maximal_sets
+
+
+def unbounded(enumerate_, *args):
+    """`enumerate_(*args)` with the leaf-check search in place of the bound."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CrossingUniverse, "maximal_sets",
+                   lambda self, size=None: maximal_sets(self))
+        return enumerate_(*args)
+
+
+POLYGON_CASES = [(n, k) for k in (1, 2, 3) for n in range(3, ENUMERATION_BUDGET[k])]
+
+
+@pytest.mark.parametrize("n,k", POLYGON_CASES)
+def test_polygon_bound_matches_leaf_check(n, k):
+    found = enumerate_polygon(polygon(n, k))
+    assert found == unbounded(enumerate_polygon, polygon(n, k))
+
+
+@pytest.mark.parametrize("m,k,shift", sorted(SHIFT_INVARIANT_COUNTS))
+def test_shift_invariant_bound_matches_leaf_check(m, k, shift):
+    found = enumerate_shift_invariant(polygon(m, k), shift)
+    assert len(found) == SHIFT_INVARIANT_COUNTS[m, k, shift]
+    assert found == unbounded(enumerate_shift_invariant, polygon(m, k), shift)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cylinder_k2_bound_matches_leaf_check(n):
+    found = enumerate_cylinder(cylinder(n, 2))
+    assert len(found) == CYLINDER_COUNTS_K2[n]
+    assert found == unbounded(enumerate_cylinder, cylinder(n, 2))
+
+
+def test_cylinder_c5_bound_gives_distinct_valid_triangulations(cylinder_k2_triangulations):
+    found = cylinder_k2_triangulations[5]
+    assert len({t.classes for t in found}) == len(found) == CYLINDER_COUNTS_K2[5]
+    for t in found[::49]:
+        assert len(t.classes) == expected_class_count(5, 2)
+        validate_cylinder_triangulation(t)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_largest_polygon_budget_matches_catalan_hankel(k):
+    n = ENUMERATION_BUDGET[k]
+    found = enumerate_polygon(polygon(n, k))
+    assert len({t.edges for t in found}) == len(found) == POLYGON_COUNTS[n, k]
+    assert {len(t.edges) for t in found} == {expected_edge_count(n, k)}
+
+
+def spy_sizes(monkeypatch) -> list:
+    """Record the `size` of every `maximal_sets` call from now on."""
+    sizes = []
+
+    def spied(self, size=None):
+        sizes.append(size)
+        return maximal_sets(self, size)
+
+    monkeypatch.setattr(CrossingUniverse, "maximal_sets", spied)
+    return sizes
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (6, 1), (1, 3), (2, 3), (3, 3)])
+def test_cylinder_passes_no_size_off_k2(monkeypatch, n, k):
+    """Purity of the cylinder complex is proved at k=2 only."""
+    sizes = spy_sizes(monkeypatch)
+    enumerate_cylinder(cylinder(n, k))
+    assert sizes == [None]
+
+
+def test_sizes_passed_where_purity_is_proved(monkeypatch):
+    sizes = spy_sizes(monkeypatch)
+    enumerate_polygon(polygon(9, 2))
+    enumerate_shift_invariant(polygon(12, 2), 3)
+    for n in (1, 2, 3):
+        enumerate_cylinder(cylinder(n, 2))
+    # 9-gon: 26 edges, 18 short; 12-gon: 38 edges, 24 short; C_n at k=2:
+    # 2n-2 relevant classes, each with its window translates.
+    assert sizes == [8, 14] + [(2 * n - 2) * len(window_translations(2)) for n in (1, 2, 3)]
+
+
+# `surfaces.has_clique` calls of the leaf-check search, before the bound.
+LEAF_CHECK_CALLS = {"polygon(9, 2)": 42121, "shift 3 of polygon(12, 2)": 1225,
+                    "cylinder(3, 2)": 1456}
+
+
+def test_every_search_node_still_calls_has_clique(monkeypatch):
+    """Each search node calls `has_clique` through the module global, the
+    one place a caller can count search work."""
+    calls = {"n": 0}
+    counted = surfaces.has_clique
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "has_clique", counting)
+    runs = {"polygon(9, 2)": lambda: enumerate_polygon(polygon(9, 2)),
+            "shift 3 of polygon(12, 2)": lambda: enumerate_shift_invariant(polygon(12, 2), 3),
+            "cylinder(3, 2)": lambda: enumerate_cylinder(cylinder(3, 2))}
+    for name, run in runs.items():
+        calls["n"] = 0
+        run()
+        assert 0 < calls["n"] < LEAF_CHECK_CALLS[name], name

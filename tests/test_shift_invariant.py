@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import SHIFT_INVARIANT_COUNTS
 from multitri import (
     Edge,
     PolygonTriangulation,
@@ -76,18 +77,10 @@ def oracle_shift_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTria
     return [PolygonTriangulation(surface, edges) for edges in sorted(results)]
 
 
-# (m, k, shift) and the number of invariant k-triangulations of the m-gon.
-ORACLE_CASES = {
-    (8, 1, 4): 20, (9, 1, 3): 6, (10, 1, 5): 70, (12, 1, 4): 20, (12, 1, 6): 252,
-    (8, 2, 2): 4, (8, 2, 4): 20, (9, 2, 3): 0, (10, 2, 5): 175, (12, 2, 3): 36,
-    (12, 2, 4): 0, (12, 3, 2): 8, (12, 3, 4): 40,
-}
-
-
-@pytest.mark.parametrize("m,k,shift", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("m,k,shift", sorted(SHIFT_INVARIANT_COUNTS))
 def test_matches_frozenset_oracle(m, k, shift):
     found = enumerate_shift_invariant(polygon(m, k), shift)
-    assert len(found) == ORACLE_CASES[m, k, shift]
+    assert len(found) == SHIFT_INVARIANT_COUNTS[m, k, shift]
     assert found == oracle_shift_invariant(polygon(m, k), shift)
 
 
