@@ -12,7 +12,6 @@ import itertools
 
 from .bijection import phi
 from .cylinder import (
-    ENUMERATION_BUDGET,
     CylinderTriangulation,
     _cover_stars,
     _stars_with_angle,
@@ -20,15 +19,9 @@ from .cylinder import (
     find_angles,
     relevant_class_candidates,
 )
-from .errors import LengthPrecondition, NotPeriodic, StructureViolation, TooLarge
+from .errors import LengthPrecondition, NotPeriodic, StructureViolation
 from .polygon import enumerate_shift_invariant
 from .surfaces import EdgeClass, bits, cylinder, lift_universe, polygon
-
-
-def _budget_gate(n: int, k: int) -> None:
-    limit = ENUMERATION_BUDGET.get(k)
-    if limit is None or n > limit:
-        raise TooLarge(f"enumeration budget for k={k} is n <= {limit}, got n={n}")
 
 
 def _class_list(classes) -> list:
@@ -54,7 +47,6 @@ def stars_containing_angle(t: CylinderTriangulation, angle) -> list:
 
 def check_star_decomposition_k(n: int, k: int) -> dict:
     """Does every relevant angle sit in a (unique) contained k-star?"""
-    _budget_gate(n, k)
     surface = cylinder(n, k)
     checked = held = 0
     failures = []
@@ -107,7 +99,6 @@ def check_bijection_k(n: int, k: int) -> dict:
     agreement does not check it; the closed-form counts C(2n-2, n-1)^k frozen
     in the tests remain the independent check.
     """
-    _budget_gate(n, k)
     m = 2 * k * n
     cyl = enumerate_cylinder(cylinder(n, k))
     periodic = enumerate_shift_invariant(polygon(m, k), n)
@@ -144,7 +135,6 @@ def check_bijection_k(n: int, k: int) -> dict:
 
 def check_counts_k(n: int, k: int) -> dict:
     """Observed (stars, relevant, total) against (n-1, k(n-1), k(2n-1))."""
-    _budget_gate(n, k)
     expected = (n - 1, k * (n - 1), k * (2 * n - 1))
     mismatches = []
     count = 0
@@ -200,13 +190,12 @@ def check_translation_lemma(n: int, k: int) -> dict:
     """
     if k != 2:
         raise LengthPrecondition(f"the translation lemma is stated for k=2, got k={k}")
-    _budget_gate(n, k)
-    surface = cylinder(n, k)
+    triangulations = enumerate_cylinder(cylinder(n, k))
     universe = lift_universe(n, k)
     adj, edges = universe.adj, universe.edges
     sets_checked = vacuous = triples = held = 0
     failures = []
-    for idx, t in enumerate(enumerate_cylinder(surface)):
+    for idx, t in enumerate(triangulations):
         absent = [c for c in relevant_class_candidates(n, k) if c not in t.class_set()]
         for extra in absent:
             sets_checked += 1

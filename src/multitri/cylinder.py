@@ -19,6 +19,7 @@ from .surfaces import (
     Edge,
     EdgeClass,
     SurfaceDesc,
+    _check_classes,
     bits,
     cyclically_ordered,
     edge_class_of,
@@ -84,6 +85,16 @@ def expected_class_count(n: int, k: int) -> int:
     return k * (2 * n - 1)
 
 
+def _check_budget(n: int, k: int, max_n: int | None = None) -> None:
+    """The cylinder's one size rule: TooLarge for n above `max_n`, by default
+    `ENUMERATION_BUDGET[k]`.  For a k outside the table only C_1 is admitted,
+    which has no relevant class to search over."""
+    limit = max_n if max_n is not None else ENUMERATION_BUDGET.get(k, 1)
+    if n > limit:
+        raise TooLarge(
+            f"cylinder enumeration budget is n <= {limit} for k={k}, got n={n}")
+
+
 def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[CylinderTriangulation]:
     """All k-triangulations on C_n, canonically sorted.
 
@@ -93,32 +104,24 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
     if surface.kind != CYLINDER:
         raise ValueError("enumerate_cylinder needs a cylinder surface")
     n, k = surface.n, surface.k
-    limit = max_n if max_n is not None else ENUMERATION_BUDGET.get(k, 2)
-    if n > limit:
-        raise TooLarge(
-            f"cylinder enumeration budget is n <= {limit} for k={k}, got n={n}")
+    _check_budget(n, k, max_n)
     universe, shorts = lift_universe(n, k), short_classes(n, k)
     # Purity of the complex is proved at k=2 only; elsewhere the leaf test
     # decides maximality.
     size = ((expected_class_count(n, k) - len(shorts)) * len(window_translations(k))
             if k == 2 else None)
+    # The classes are sorted, so search order is sorted order (`maximal_sets`).
     found = [tuple(sorted(shorts + [universe.classes[i] for i in bits(picked)]))
              for picked in universe.maximal_sets(size)]
-    return [CylinderTriangulation(surface, cs) for cs in sorted(found)]
+    return [CylinderTriangulation(surface, cs) for cs in found]
 
 
 def validate_cylinder_triangulation(t: CylinderTriangulation):
-    """Raise StructureViolation unless t really is a k-triangulation of C_n."""
+    """Raise StructureViolation unless t really is a k-triangulation of C_n;
+    `_check_classes` runs first, before any lift universe is built."""
     n, k = t.surface.n, t.surface.k
-    classes = t.class_set()
-    if len(classes) != len(t.classes):
-        raise StructureViolation("duplicate classes")
-    for c in classes:
-        if c.n != n:
-            raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
-        if c.length > k * n:
-            raise StructureViolation(f"class {c} longer than kn = {k * n}")
-    missing = sorted(set(short_classes(n, k)) - classes)
+    _check_classes(t.classes, n, k)
+    missing = sorted(set(short_classes(n, k)) - t.class_set())
     if missing:
         more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
         raise StructureViolation(f"classes of length <= {k} missing: {missing[:5]}{more}")
@@ -211,14 +214,12 @@ def stars_of(t: CylinderTriangulation) -> list[KStar]:
     They are the stars of `_cover_stars`.
 
     Raises LengthPrecondition for k != 2 once t has a class of length
-    strictly between k and kn, and StructureViolation on duplicate classes
-    or on a lift with a (k+1)-crossing.
+    strictly between k and kn, then what `_check_classes` raises, and
+    StructureViolation on a lift with a (k+1)-crossing.
     """
     n, k = t.surface.n, t.surface.k
     if k != 2 and any(k < c.length < k * n for c in t.classes):
         raise LengthPrecondition(f"star location is established for k=2 only, got k={k}")
-    if len(t.class_set()) != len(t.classes):
-        raise StructureViolation("duplicate classes")
     universe = lift_universe(n, k)
     if not universe.crossing_free(universe.indices(t.classes)):
         raise StructureViolation(f"lift contains a {k + 1}-crossing")
@@ -264,7 +265,7 @@ def check_maximal_lifting(t: CylinderTriangulation) -> dict:
     n, k = t.surface.n, t.surface.k
     classes = t.class_set()
     universe = lift_universe(n, k)
-    chosen = universe.indices(classes)
+    chosen = universe.indices(t.classes)
     crossing_free = universe.crossing_free(chosen)
     lift = universe.lift(chosen)
     absent = [c for c in short_classes(n, k) + relevant_class_candidates(n, k)

@@ -5,10 +5,6 @@ class MultitriError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EdgeTooLong(MultitriError):
-    """A cover edge exceeds the maximum admissible length k*n."""
-
-
 class TooLarge(MultitriError):
     """An enumeration request exceeds the configured search budget."""
 
@@ -19,6 +15,11 @@ class StructureViolation(MultitriError):
     This signals a bug (or deliberately corrupted input), never a
     user-recoverable condition.
     """
+
+
+class EdgeTooLong(StructureViolation):
+    """A class list holds a class longer than the maximum admissible length
+    k*n, so it is no triangulation of C_n."""
 
 
 class NotRelevant(MultitriError):

@@ -14,19 +14,13 @@ from dataclasses import dataclass
 
 from .bijection import PeriodicPolygonTriangulation, class_of_polygon_edge, orbit_of_class, phi
 from .cylinder import (
-    ENUMERATION_BUDGET,
     CylinderTriangulation,
+    _check_budget,
     _cover_stars,
     enumerate_cylinder,
     stars_of,
 )
-from .errors import (
-    LengthPrecondition,
-    NotInTriangulation,
-    NotRelevant,
-    StructureViolation,
-    TooLarge,
-)
+from .errors import LengthPrecondition, NotInTriangulation, NotRelevant, StructureViolation
 from .pipedreams import (
     cell_edge,
     chevron_from_staircase,
@@ -35,8 +29,6 @@ from .pipedreams import (
 )
 from .polygon import _bisectors, _sole_bisector, make_star
 from .surfaces import EdgeClass, cylinder, edge_class_of, lift_universe
-
-FLIP_GRAPH_BUDGET = 5
 
 
 def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
@@ -98,13 +90,11 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
         raise NotRelevant(f"{e} has length {e.length} <= k={k}, not flippable")
     p = phi(t)
     # phi(t) has rejected an image with a (k+1)-crossing, and that covers
-    # t's lift once no class is longer than kn (checked by `indices`, with
-    # the period): the edges of a lift (k+1)-crossing interleave as
-    # a_0 < ... < a_k < b_0 < ... < b_k, so their endpoints span
-    # b_k - a_0 < (b_k - a_k) + (b_0 - a_0) <= 2kn and wrap onto a
+    # t's lift once its class list is well formed (checked by `indices`):
+    # no class is longer than kn, and the edges of a lift (k+1)-crossing
+    # interleave as a_0 < ... < a_k < b_0 < ... < b_k, so their endpoints
+    # span b_k - a_0 < (b_k - a_k) + (b_0 - a_0) <= 2kn and wrap onto a
     # (k+1)-crossing of the 2kn-gon.
-    if len(t.class_set()) != len(t.classes):
-        raise StructureViolation("duplicate classes")
     universe = lift_universe(t.surface.n, k)
     universe.indices(t.classes)
     f_stars = _flip_via_stars(t, e)
@@ -135,8 +125,6 @@ def build_flip_graph(n: int) -> FlipGraph:
     vertex set.  Adjacency entries are directed: (i, j, class removed
     from vertex i).  Component count is reported, never asserted.
     """
-    if n > FLIP_GRAPH_BUDGET:
-        raise TooLarge(f"flip graph budget is n <= {FLIP_GRAPH_BUDGET}, got n={n}")
     vertices = tuple(enumerate_cylinder(cylinder(n, 2)))
     index = {t.class_set(): i for i, t in enumerate(vertices)}
     adjacency = []
@@ -190,8 +178,7 @@ def find_multi_representative_stars(max_n: int) -> list[dict]:
     star) instance; an empty list for the range scanned means the case
     never arises there and should be reported, not ignored.
     """
-    if max_n > ENUMERATION_BUDGET.get(2, 0):
-        raise TooLarge(f"enumeration budget is n <= {ENUMERATION_BUDGET[2]} for k=2")
+    _check_budget(max_n, 2)
     witnesses = []
     for n in range(1, max_n + 1):
         for idx, t in enumerate(enumerate_cylinder(cylinder(n, 2))):

@@ -2,8 +2,9 @@
 
 A k-triangulation is a maximal set of edges containing no k+1 pairwise
 crossing members.  Every one of them contains all edges of cyclic length
-at most k (those cannot take part in a large crossing), has exactly
-k(2n-2k-1) edges, and decomposes into n-2k star polygons.
+at most k (those cannot take part in a large crossing).  For n >= 2k+1 it
+has exactly k(2n-2k-1) edges and decomposes into n-2k star polygons; below
+that every edge is short, and the complete graph is the only one.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def relevant_candidates(n: int, k: int) -> list[Edge]:
 
 
 def expected_edge_count(n: int, k: int) -> int:
-    return k * (2 * n - 2 * k - 1)
+    return k * (2 * n - 2 * k - 1) if n > 2 * k else n * (n - 1) // 2
 
 
 def enumerate_polygon(surface: SurfaceDesc, max_n: int | None = None) -> list[PolygonTriangulation]:
@@ -121,9 +122,11 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
     shorts = sorted(short_edges(n, k))
     # Polygon purity: every k-triangulation has expected_edge_count edges.
     size = expected_edge_count(n, k) - len(shorts)
+    # Orbits are sorted by least edge, so search order is sorted order
+    # (`maximal_sets`).
     found = [tuple(sorted(shorts + [universe.edges[p] for p in bits(universe.lift(bits(picked)))]))
              for picked in universe.maximal_sets(size)]
-    return [PolygonTriangulation(surface, edges) for edges in sorted(found)]
+    return [PolygonTriangulation(surface, edges) for edges in found]
 
 
 def validate_polygon_triangulation(t: PolygonTriangulation):
@@ -132,8 +135,8 @@ def validate_polygon_triangulation(t: PolygonTriangulation):
     edges = _checked_edge_set(t)
     if has_k_plus_1_crossing(edges, k, t.surface):
         raise StructureViolation(f"contains a {k + 1}-crossing")
-    # Every maximal (k+1)-crossing-free set has exactly k(2n-2k-1) edges, so
-    # the count settles maximality.
+    # Every maximal (k+1)-crossing-free set has exactly
+    # expected_edge_count(n, k) edges, so the count settles maximality.
     _check_edge_count(edges, n, k)
 
 
@@ -169,7 +172,7 @@ def _check_edge_count(edges: frozenset[Edge], n: int, k: int):
 
 
 def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
-    """The n-2k stars of t, ordered by their sorted vertex tuples.
+    """The max(n-2k, 0) stars of t, ordered by their sorted vertex tuples.
 
     The stars of a k-triangulation are exactly the k-stars whose 2k+1 edges
     all lie in it, and there are n-2k of them (Pilaud-Santos,
@@ -178,7 +181,7 @@ def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
 
     Raises StructureViolation unless the edges of t are distinct, lie in
     the n-gon, include every edge of cyclic length at most k and number
-    k(2n-2k-1), and when t contains other than n-2k stars.
+    `expected_edge_count(n, k)`, and when t contains another number of stars.
     """
     n, k = t.surface.n, t.surface.k
     edges = _checked_edge_set(t)
@@ -190,9 +193,9 @@ def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
     for around in neighbours:
         around.sort()
     stars = _contained_stars(neighbours, range(n), k)
-    if len(stars) != n - 2 * k:
-        raise StructureViolation(
-            f"found {len(stars)} stars, expected {n - 2 * k}")
+    expected = max(n - 2 * k, 0)
+    if len(stars) != expected:
+        raise StructureViolation(f"found {len(stars)} stars, expected {expected}")
     return stars
 
 

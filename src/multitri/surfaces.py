@@ -261,6 +261,11 @@ class CrossingUniverse:
           once fewer than `size` members stay possible, and a leaf is kept
           without the test above: it is crossing-free with `size` members,
           and every crossing-free set extends to a maximal one of that size.
+        - Masks come in search order.  With groups ordered by least member,
+          that is the sorted order of the member sets: two results first
+          differ at a group g that the earlier includes and the later lacks;
+          below g's least member they agree, and the later, being maximal
+          and so no subset of the earlier, has a member above it.
         Every node calls `has_clique` through this module's global.
         """
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
@@ -305,15 +310,21 @@ class LiftUniverse(CrossingUniverse):
 
     def indices(self, classes) -> list[int]:
         """Indices of the classes longer than k; shorter ones never cross."""
-        found = []
-        for c in classes:
-            if c.length > self.k * self.n:
-                raise EdgeTooLong(f"class {c} has length {c.length} > k*n = {self.k * self.n}")
-            if c.n != self.n:
-                raise StructureViolation(f"class {c} has period {c.n}, surface has {self.n}")
-            if c.length > self.k:
-                found.append(self.index[c])
-        return found
+        _check_classes(classes, self.n, self.k)
+        return [self.index[c] for c in classes if c.length > self.k]
+
+
+def _check_classes(classes, n: int, k: int) -> None:
+    """The one check that a class list is well formed on C_n at order k:
+    StructureViolation on a repeated class or a class of another period,
+    EdgeTooLong on a class longer than kn."""
+    if len(set(classes)) != len(classes):
+        raise StructureViolation("duplicate classes")
+    for c in classes:
+        if c.length > k * n:
+            raise EdgeTooLong(f"class {c} has length {c.length} > k*n = {k * n}")
+        if c.n != n:
+            raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
 
 
 @functools.cache

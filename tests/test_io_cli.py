@@ -214,6 +214,25 @@ def test_cli_missing_edge_check_is_bounded_by_input_size(tmp_path, capsys):
     assert "and 999995 more" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--surface", "cylinder", "--n", "2", "--k", "8"],
+    ["verify", "--suite", "pseudomanifold", "--n", "2", "--k", "8"]])
+def test_cli_cylinder_beyond_the_budget_table_is_refused_at_once(capsys, argv):
+    """For a k outside the table only C_1, which has no relevant class, is
+    admitted; C_2 at k=8 has 256 triangulations and is refused unsearched."""
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2
+    assert "budget is n <= 1 for k=8, got n=2" in capsys.readouterr().err
+
+
+def test_cli_lab_admits_c1_beyond_the_budget_table(capsys):
+    assert main(["verify", "--suite", "conjectures", "--n", "1", "--k", "8"]) == 0
+    bundle = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert bundle["reports"]["counts"]["triangulations"] == 1
+    assert bundle["reports"]["bijection"]["holds"]
+
+
 def test_cli_flip(tmp_path, capsys, t_left):
     path = _write_input(tmp_path, t_left)
     assert main(["flip", "--input", path, "--edge", "1,6"]) == 0

@@ -57,6 +57,16 @@ def test_enumeration_respects_budget():
         enumerate_polygon(polygon(8, 2), max_n=7)
 
 
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 3)])
+def test_below_2k_plus_1_the_complete_graph_is_valid_and_starless(n, k):
+    """Below n = 2k+1 every edge is short: the complete graph is the only
+    k-triangulation, with n(n-1)/2 edges and no star."""
+    (t,) = enumerate_polygon(polygon(n, k))
+    assert expected_edge_count(n, k) == len(t.edges) == n * (n - 1) // 2
+    validate_polygon_triangulation(t)
+    assert star_decomposition(t) == []
+
+
 def test_edge_counts_and_validity():
     for n, k in ((8, 2), (9, 3)):
         want = expected_edge_count(n, k)

@@ -8,6 +8,9 @@ must return the same list.  The largest budget instances are too slow for
 the oracle and are checked against the Catalan-Hankel counts instead, apart
 from the 81,796 triangulations of the 12-gon at k=3: their search alone
 takes about 20 s, so (11, 3) is the largest k=3 instance checked here.
+
+The enumerators return the search order without a final sort; the tests
+at the end check that it is the sorted order.
 """
 
 from __future__ import annotations
@@ -133,3 +136,28 @@ def test_every_search_node_still_calls_has_clique(monkeypatch):
         calls["n"] = 0
         run()
         assert 0 < calls["n"] < LEAF_CHECK_CALLS[name], name
+
+
+def assert_sorted(keys):
+    keys = list(keys)
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n,k", POLYGON_CASES)
+def test_polygon_search_order_is_sorted_order(n, k):
+    assert_sorted(t.edges for t in enumerate_polygon(polygon(n, k)))
+
+
+@pytest.mark.parametrize("m,k,shift", sorted(SHIFT_INVARIANT_COUNTS))
+def test_shift_invariant_search_order_is_sorted_order(m, k, shift):
+    assert_sorted(t.edges for t in enumerate_shift_invariant(polygon(m, k), shift))
+
+
+def test_cylinder_k2_search_order_is_sorted_order(cylinder_k2_triangulations):
+    for found in cylinder_k2_triangulations.values():
+        assert_sorted(t.classes for t in found)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (6, 1), (1, 3), (2, 3), (3, 3)])
+def test_cylinder_leaf_check_search_order_is_sorted_order(n, k):
+    assert_sorted(t.classes for t in enumerate_cylinder(cylinder(n, k)))
