@@ -47,11 +47,15 @@ def stars_containing_angle(t: CylinderTriangulation, angle) -> list:
 
 def check_star_decomposition_k(n: int, k: int) -> dict:
     """Does every relevant angle sit in a (unique) contained k-star?"""
+    return _star_decomposition_report(n, k, enumerate_cylinder(cylinder(n, k)))
+
+
+def _star_decomposition_report(n: int, k: int, triangulations) -> dict:
     surface = cylinder(n, k)
     checked = held = 0
     failures = []
     multiple = []
-    for idx, t in enumerate(enumerate_cylinder(surface)):
+    for idx, t in enumerate(triangulations):
         stars = _cover_stars(t)
         for angle in find_angles(t):
             if not angle.relevant:
@@ -99,8 +103,11 @@ def check_bijection_k(n: int, k: int) -> dict:
     agreement does not check it; the closed-form counts C(2n-2, n-1)^k frozen
     in the tests remain the independent check.
     """
+    return _bijection_report(n, k, enumerate_cylinder(cylinder(n, k)))
+
+
+def _bijection_report(n: int, k: int, cyl) -> dict:
     m = 2 * k * n
-    cyl = enumerate_cylinder(cylinder(n, k))
     periodic = enumerate_shift_invariant(polygon(m, k), n)
     images = {}
     failures = []
@@ -135,10 +142,14 @@ def check_bijection_k(n: int, k: int) -> dict:
 
 def check_counts_k(n: int, k: int) -> dict:
     """Observed (stars, relevant, total) against (n-1, k(n-1), k(2n-1))."""
+    return _counts_report(n, k, enumerate_cylinder(cylinder(n, k)))
+
+
+def _counts_report(n: int, k: int, triangulations) -> dict:
     expected = (n - 1, k * (n - 1), k * (2 * n - 1))
     mismatches = []
     count = 0
-    for idx, t in enumerate(enumerate_cylinder(cylinder(n, k))):
+    for idx, t in enumerate(triangulations):
         count += 1
         observed = (
             len(_cover_stars(t)),
@@ -190,13 +201,18 @@ def check_translation_lemma(n: int, k: int) -> dict:
     """
     if k != 2:
         raise LengthPrecondition(f"the translation lemma is stated for k=2, got k={k}")
-    triangulations = enumerate_cylinder(cylinder(n, k))
+    return _translation_report(n, k, enumerate_cylinder(cylinder(n, k)))
+
+
+def _translation_report(n: int, k: int, triangulations) -> dict:
     universe = lift_universe(n, k)
     adj, edges = universe.adj, universe.edges
+    candidates = relevant_class_candidates(n, k)
     sets_checked = vacuous = triples = held = 0
     failures = []
     for idx, t in enumerate(triangulations):
-        absent = [c for c in relevant_class_candidates(n, k) if c not in t.class_set()]
+        present = t.class_set()
+        absent = [c for c in candidates if c not in present]
         for extra in absent:
             sets_checked += 1
             classes = list(t.classes) + [extra]
@@ -245,15 +261,16 @@ def run_all_checks(n: int, k: int) -> dict:
     """The lab's four reports in one JSON-ready bundle.
 
     The translation lemma is k=2-specific and is skipped (with a note)
-    for other k.
+    for other k.  C_n is enumerated once and shared by the checks.
     """
+    triangulations = enumerate_cylinder(cylinder(n, k))
     reports = {
-        "star_decomposition": check_star_decomposition_k(n, k),
-        "bijection": check_bijection_k(n, k),
-        "counts": check_counts_k(n, k),
+        "star_decomposition": _star_decomposition_report(n, k, triangulations),
+        "bijection": _bijection_report(n, k, triangulations),
+        "counts": _counts_report(n, k, triangulations),
     }
     if k == 2:
-        reports["translation_lemma"] = check_translation_lemma(n, k)
+        reports["translation_lemma"] = _translation_report(n, k, triangulations)
     else:
         reports["translation_lemma"] = {
             "check": "translation_lemma",

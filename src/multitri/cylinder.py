@@ -20,10 +20,10 @@ from .surfaces import (
     EdgeClass,
     SurfaceDesc,
     _check_classes,
-    bits,
     cyclically_ordered,
     edge_class_of,
     lift_universe,
+    sorted_unions,
     window_translations,
 )
 
@@ -99,7 +99,8 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
     """All k-triangulations on C_n, canonically sorted.
 
     The maximal sets of `CrossingUniverse.maximal_sets` over the k-relevant
-    classes of `lift_universe`.
+    classes of `lift_universe`, each merged with the short classes on
+    integer ranks (`sorted_unions`).
     """
     if surface.kind != CYLINDER:
         raise ValueError("enumerate_cylinder needs a cylinder surface")
@@ -111,8 +112,7 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
     size = ((expected_class_count(n, k) - len(shorts)) * len(window_translations(k))
             if k == 2 else None)
     # The classes are sorted, so search order is sorted order (`maximal_sets`).
-    found = [tuple(sorted(shorts + [universe.classes[i] for i in bits(picked)]))
-             for picked in universe.maximal_sets(size)]
+    found = sorted_unions(shorts, [[c] for c in universe.classes], universe.maximal_sets(size))
     return [CylinderTriangulation(surface, cs) for cs in found]
 
 

@@ -19,10 +19,10 @@ from .surfaces import (
     CrossingUniverse,
     Edge,
     SurfaceDesc,
-    bits,
     cyclic_length,
     cyclically_ordered,
     has_k_plus_1_crossing,
+    sorted_unions,
 )
 
 # Largest n per k the backtracking search will accept by default.
@@ -110,7 +110,8 @@ def enumerate_polygon(surface: SurfaceDesc, max_n: int | None = None) -> list[Po
 def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangulation]:
     """The k-triangulations invariant under rotation by `shift`, a divisor of
     n, found over the orbits of the k-relevant edges; shift n gives single
-    edges."""
+    edges.  Each result is merged with the short edges on integer ranks
+    (`sorted_unions`)."""
     n, k = surface.n, surface.k
 
     def orbit(e: Edge) -> tuple[Edge, ...]:
@@ -119,13 +120,12 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
 
     orbits = sorted({orbit(e) for e in relevant_candidates(n, k)})
     universe = CrossingUniverse(k, orbits, own_blocks=False)
-    shorts = sorted(short_edges(n, k))
+    shorts = short_edges(n, k)
     # Polygon purity: every k-triangulation has expected_edge_count edges.
     size = expected_edge_count(n, k) - len(shorts)
     # Orbits are sorted by least edge, so search order is sorted order
     # (`maximal_sets`).
-    found = [tuple(sorted(shorts + [universe.edges[p] for p in bits(universe.lift(bits(picked)))]))
-             for picked in universe.maximal_sets(size)]
+    found = sorted_unions(shorts, orbits, universe.maximal_sets(size))
     return [PolygonTriangulation(surface, edges) for edges in found]
 
 

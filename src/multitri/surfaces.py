@@ -15,6 +15,7 @@ iff some rotation of it is strictly increasing.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import EdgeTooLong, StructureViolation
@@ -147,6 +148,35 @@ def bits(mask: int):
         mask &= mask - 1
 
 
+def sorted_unions(fixed, groups, picks) -> list[tuple]:
+    """For each mask of group indices in `picks`, the sorted tuple of the
+    items of `fixed` and of the picked groups (all distinct).
+
+    Every item is ranked once; a group is then the mask of its items' ranks,
+    and a result is read off the union of its masks in rank order, with no
+    comparison of items per result.
+    """
+    ranked = sorted(itertools.chain(fixed, *groups))
+    rank = {x: r for r, x in enumerate(ranked)}
+    base = sum(1 << rank[x] for x in fixed)
+    table = [sum(1 << rank[x] for x in group) for group in groups]
+    # Masks are read four ranks at a time: quads[c][v] holds the items
+    # ranked 4c..4c+3 whose bits are set in v.
+    quads = [[tuple(x for j, x in enumerate(ranked[c:c + 4]) if v >> j & 1) for v in range(16)]
+             for c in range(0, len(ranked), 4)]
+    found = []
+    for picked in picks:
+        mask = base
+        for i in bits(picked):
+            mask |= table[i]
+        items: tuple = ()
+        for quad in quads:
+            items += quad[mask & 15]
+            mask >>= 4
+        found.append(items)
+    return found
+
+
 def has_clique(adj: list[int], size: int, within: int | None = None) -> bool:
     """Is there a clique of the given size in the graph given by bitmask rows?
 
@@ -238,12 +268,21 @@ class CrossingUniverse:
 
         A depth-first search decides the groups in index order, including
         and then excluding each, and keeps the masks of the chosen members
-        and of the still possible ones (chosen or undecided).
+        and of the still possible ones (chosen, or undecided and not yet
+        blocked).
         - Including a group is cut when it is `blocked` by the chosen
           members.  That finds every new crossing: the chosen union is
           crossing-free and, like each group, invariant under the symmetry
           forming the groups (rotation on the polygon, translation on the
           cover), so a new crossing can be moved onto the representative.
+        - Forward checking (Haralick-Elliott, "Increasing tree search
+          efficiency for constraint satisfaction problems", AIJ 1980): after
+          including group i, each later group whose representative a member
+          of i crosses is tested with the same `blocked` test.  The chosen
+          members only grow down a branch, so a blocked group stays blocked:
+          its members leave the possible mask and its include test is
+          skipped.  No leaf below can hold them, so every cut that reads the
+          possible mask stays sound, with or without `size`.
         - Excluding a group is cut when the still possible members cannot
           block it in the leaf test, since no leaf below is then maximal.
         - At a leaf every absent group must be blocked by a k-clique of
@@ -257,20 +296,25 @@ class CrossingUniverse:
         - `size`, where given, is the number of member bits of every maximal
           set, so it may only be passed where the complex is pure: for the
           polygon at every k (Nakamigawa; Dress-Koolen-Moulton), and for
-          the cylinder at k=2 (this paper).  Excluding is then also cut
-          once fewer than `size` members stay possible, and a leaf is kept
-          without the test above: it is crossing-free with `size` members,
-          and every crossing-free set extends to a maximal one of that size.
+          the cylinder at k=2 (this paper).  Including and excluding are
+          then also cut once fewer than `size` members stay possible, and a
+          leaf is kept without the test above: it is crossing-free with
+          `size` members, and every crossing-free set extends to a maximal
+          one of that size.
         - Masks come in search order.  With groups ordered by least member,
           that is the sorted order of the member sets: two results first
           differ at a group g that the earlier includes and the later lacks;
           below g's least member they agree, and the later, being maximal
-          and so no subset of the earlier, has a member above it.
+          and so no subset of the earlier, has a member above it.  The cuts
+          only drop subtrees without a result, so the order stays.
         Every node calls `has_clique` through this module's global.
         """
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
         own = members if self.own_blocks else [0] * len(members)
         count, floor = len(members), size or 0
+        # hits[i]: the later groups whose representative a member of i crosses.
+        hits = [[j for j in range(i + 1, count) if rows[j] & members[i]]
+                for i in range(count)]
         found: list[int] = []
 
         def rec(i: int, picked: int, lift: int, possible: int):
@@ -283,8 +327,15 @@ class CrossingUniverse:
                 found.append(picked)
                 return
             group = members[i]
-            if not has_clique(adj, k, within=rows[i] & (lift | group)):
-                rec(i + 1, picked | 1 << i, lift | group, possible)
+            # An undecided group outside `possible` was found blocked.
+            if possible & group and not has_clique(adj, k, within=rows[i] & (lift | group)):
+                grown, alive = lift | group, possible
+                for j in hits[i]:
+                    if alive & members[j] and has_clique(
+                            adj, k, within=rows[j] & (grown | members[j])):
+                        alive &= ~members[j]
+                if alive.bit_count() >= floor:
+                    rec(i + 1, picked | 1 << i, grown, alive)
             possible &= ~group
             if possible.bit_count() >= floor and has_clique(
                     adj, k, within=rows[i] & (possible | own[i])):

@@ -3,6 +3,7 @@ produce reports without crashing, witnesses must be genuine."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -21,6 +22,7 @@ from multitri import (
     run_all_checks,
     stars_containing_angle,
 )
+from multitri import conjectures
 from multitri.errors import LengthPrecondition
 from multitri.cylinder import find_angles
 
@@ -144,6 +146,40 @@ def test_run_all_checks_k3_never_crashes():
     out = run_all_checks(2, 3)
     assert out["reports"]["translation_lemma"]["skipped"]
     json.dumps(out)
+
+
+# sha256 of json.dumps(run_all_checks(n, k), sort_keys=True), taken before
+# the checks shared one enumeration.
+BUNDLE_SHA256 = {
+    (2, 2): "4d5411b9210997bcc62a5a321d21e7fdefb4d4683cceedac3c5677821b49cad8",
+    (2, 3): "445501780ba9f7ddae25deeaddf64b6597011d8552a5545ab496efec0d880fc0",
+    (3, 2): "a2af3a82451199e4540d88b7acc7ccac359c32aa35fd72022e66e3a5fdd3524e",
+    (3, 3): "0015c0c2fc210bb7b5981eb93ddee09b03ec0bc1cf7f35fb709bdd19d6b50f85",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(BUNDLE_SHA256))
+def test_run_all_checks_enumerates_once(monkeypatch, n, k):
+    calls = []
+    enumerate_ = conjectures.enumerate_cylinder
+
+    def spied(surface):
+        calls.append(surface)
+        return enumerate_(surface)
+
+    monkeypatch.setattr(conjectures, "enumerate_cylinder", spied)
+    bundle = run_all_checks(n, k)
+    assert len(calls) == 1
+    text = json.dumps(bundle, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUNDLE_SHA256[n, k]
+
+
+def test_run_all_checks_reports_match_the_public_checks():
+    reports = run_all_checks(2, 2)["reports"]
+    assert reports["star_decomposition"] == check_star_decomposition_k(2, 2)
+    assert reports["bijection"] == check_bijection_k(2, 2)
+    assert reports["counts"] == check_counts_k(2, 2)
+    assert reports["translation_lemma"] == check_translation_lemma(2, 2)
 
 
 def test_budget_gates():

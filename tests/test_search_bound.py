@@ -1,13 +1,15 @@
-"""The purity size bound of `CrossingUniverse.maximal_sets` against the
-leaf-check search.
+"""The search of `CrossingUniverse.maximal_sets` against an oracle.
 
-With no `size`, `maximal_sets` tests every absent group at each leaf and
-prunes on no count; that search is the oracle.  `unbounded` runs an
-enumerator with every size it passes dropped, and the bounded enumerator
-must return the same list.  The largest budget instances are too slow for
-the oracle and are checked against the Catalan-Hankel counts instead, apart
-from the 81,796 triangulations of the 12-gon at k=3: their search alone
-takes about 20 s, so (11, 3) is the largest k=3 instance checked here.
+`oracle_maximal_sets` is that search without forward checking.  With no
+`size` it tests every absent group at each leaf and prunes on no count:
+the leaf-check search.  `unbounded` runs an enumerator with the leaf-check
+search in place of the bounded one, and the bounded enumerator must return
+the same list; `test_forward_checking_matches_oracle` compares the two
+searches mask for mask, with and without the size.  The largest budget
+instances are too slow for the oracle and are checked against the
+Catalan-Hankel counts instead, apart from the 81,796 triangulations of the
+12-gon at k=3: their search alone takes about 8 s (one run on a shared
+2-vCPU host), so (11, 3) is the largest k=3 instance checked here.
 
 The enumerators return the search order without a final sort; the tests
 at the end check that it is the sorted order.
@@ -35,11 +37,41 @@ from multitri.surfaces import CrossingUniverse, window_translations
 maximal_sets = CrossingUniverse.maximal_sets
 
 
+def oracle_maximal_sets(universe, size=None):
+    """`CrossingUniverse.maximal_sets` before forward checking: each group is
+    tested only when the search reaches it."""
+    k, adj, rows, members = universe.k, universe.adj, universe.through_rep, universe.members
+    own = members if universe.own_blocks else [0] * len(members)
+    count, floor = len(members), size or 0
+    found: list[int] = []
+
+    def rec(i: int, picked: int, lift: int, possible: int):
+        if i == count:
+            if size is None:
+                for j in range(count):
+                    if not lift & members[j] and not surfaces.has_clique(
+                            adj, k, within=rows[j] & (lift | own[j])):
+                        return
+            found.append(picked)
+            return
+        group = members[i]
+        if not surfaces.has_clique(adj, k, within=rows[i] & (lift | group)):
+            rec(i + 1, picked | 1 << i, lift | group, possible)
+        possible &= ~group
+        if possible.bit_count() >= floor and surfaces.has_clique(
+                adj, k, within=rows[i] & (possible | own[i])):
+            rec(i + 1, picked, lift, possible)
+
+    rec(0, 0, 0, universe.lift(range(count)))
+    return found
+
+
 def unbounded(enumerate_, *args):
-    """`enumerate_(*args)` with the leaf-check search in place of the bound."""
+    """`enumerate_(*args)` with the oracle's leaf-check search in place of
+    the bound."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CrossingUniverse, "maximal_sets",
-                   lambda self, size=None: maximal_sets(self))
+                   lambda self, size=None: oracle_maximal_sets(self))
         return enumerate_(*args)
 
 
@@ -80,6 +112,72 @@ def test_largest_polygon_budget_matches_catalan_hankel(k):
     found = enumerate_polygon(polygon(n, k))
     assert len({t.edges for t in found}) == len(found) == POLYGON_COUNTS[n, k]
     assert {len(t.edges) for t in found} == {expected_edge_count(n, k)}
+
+
+def searched(enumerate_, *args) -> list:
+    """The (universe, size) of every `maximal_sets` call of `enumerate_(*args)`."""
+    calls = []
+
+    def spied(self, size=None):
+        calls.append((self, size))
+        return maximal_sets(self, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CrossingUniverse, "maximal_sets", spied)
+        enumerate_(*args)
+    return calls
+
+
+DIFFERENTIAL_CASES = (
+    [(enumerate_polygon, polygon(n, k)) for n, k in POLYGON_CASES]
+    + [(enumerate_shift_invariant, polygon(m, k), shift)
+       for m, k, shift in sorted(SHIFT_INVARIANT_COUNTS)]
+    + [(enumerate_cylinder, cylinder(n, k))
+       for k, top in ((1, 6), (2, 4), (3, 3)) for n in range(1, top + 1)])
+
+
+def case_id(case) -> str:
+    surface, *shift = case[1:]
+    return "-".join(map(str, [surface.kind, surface.n, surface.k, *shift]))
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES, ids=case_id)
+def test_forward_checking_matches_oracle(case):
+    """Forward checking drops no result and keeps the order, with and
+    without the size bound."""
+    enumerate_, *args = case
+    for universe, size in searched(enumerate_, *args):
+        assert universe.maximal_sets(size) == oracle_maximal_sets(universe, size)
+        if size is not None:
+            assert universe.maximal_sets() == oracle_maximal_sets(universe)
+
+
+def count_has_clique(run) -> int:
+    """The `surfaces.has_clique` calls made by `run()`."""
+    calls = {"n": 0}
+    counted = surfaces.has_clique
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return counted(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surfaces, "has_clique", counting)
+        run()
+    return calls["n"]
+
+
+@pytest.mark.parametrize("enumerate_,surface", [(enumerate_polygon, polygon(10, 1)),
+                                                (enumerate_cylinder, cylinder(4, 2))],
+                         ids=["polygon-10-1", "cylinder-4-2"])
+def test_forward_checking_prunes(enumerate_, surface):
+    """Forward checking makes strictly fewer `has_clique` calls than the
+    oracle on the same universe and size, so it cannot be switched off
+    unnoticed."""
+    [(universe, size)] = searched(enumerate_, surface)
+    fast = count_has_clique(lambda: universe.maximal_sets(size))
+    slow = count_has_clique(lambda: oracle_maximal_sets(universe, size))
+    assert 0 < fast < slow
 
 
 def spy_sizes(monkeypatch) -> list:
