@@ -5,17 +5,42 @@ onto the 2kn-gon; the image is a k-triangulation invariant under vertex
 rotation by n, and the correspondence is a bijection.  Classes of length
 below kn land on orbits of 2k polygon edges, the spanning class on an
 orbit of k.
+
+`phi` is integer work on two tables built on first use.  Per m: the
+edges of the m-gon in sorted order, the p-th being (a, b) with
+p = a(2m-a-1)/2 + b-a-1, so a set of edges is a bitmask over positions
+and reading its bits lowest first gives the sorted tuple.  Per (n, k):
+the orbit mask of every class of length at most kn, and the mask of the
+edges of cyclic length above k.  Both are exact, being the orbits and
+lengths of the definitions computed once; each is an lru_cache of
+`_CACHE_SIZE` entries of O(m^2) items.  No crossing rows are cached: the
+(k+1)-crossing check builds the crossing graph of the image's own long
+edges on every call, so it stays independent of the lift.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cylinder import CylinderTriangulation, stars_of
 from .errors import NotPeriodic, StructureViolation
 from .polygon import PolygonTriangulation, expected_edge_count
-from .surfaces import Edge, EdgeClass, cylinder, edge_class_of, has_k_plus_1_crossing, polygon
+from .surfaces import (
+    Edge,
+    EdgeClass,
+    bits,
+    crossing_rows,
+    cyclic_length,
+    cylinder,
+    edge_class_of,
+    has_clique,
+    polygon,
+)
+
+# Per-m edge tables and per-(n, k) orbit tables kept.
+_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -30,10 +55,10 @@ class PeriodicPolygonTriangulation:
         if m != 2 * k * self.period:
             raise ValueError(
                 f"period {self.period} with k={k} needs a {2 * k * self.period}-gon, got {m}")
-        edges = self.inner.edge_set()
+        ends = {(e.a, e.b) for e in self.inner.edges}
         for e in self.inner.edges:
-            shifted = Edge((e.a + self.period) % m, (e.b + self.period) % m)
-            if shifted not in edges:
+            a, b = (e.a + self.period) % m, (e.b + self.period) % m
+            if ((a, b) if a < b else (b, a)) not in ends:
                 raise NotPeriodic(
                     f"edge {e} present but its shift by {self.period} is not")
 
@@ -54,21 +79,54 @@ def orbit_of_class(c: EdgeClass, k: int) -> list[Edge]:
     return sorted(edges)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _polygon_edges(m: int) -> tuple[list[Edge], list[tuple[int, int]]]:
+    """The edges of the m-gon in sorted order, as `Edge`s and as (a, b)."""
+    ends = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    return [Edge(a, b) for a, b in ends], ends
+
+
+def _orbit_mask(c: EdgeClass, k: int, m: int) -> int:
+    return sum(1 << (e.a * (2 * m - e.a - 1) // 2 + e.b - e.a - 1) for e in orbit_of_class(c, k))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _wrap_table(n: int, k: int) -> tuple[dict[tuple[int, int], int], int]:
+    """The orbit mask of each class of C_n of length at most kn, keyed by
+    its representative's (a, b), and the mask of the 2kn-gon's edges of
+    cyclic length above k."""
+    m = 2 * k * n
+    orbits = {(a, b): _orbit_mask(EdgeClass(Edge(a, b), n), k, m)
+              for a in range(n) for b in range(a + 1, a + k * n + 1)}
+    longs = sum(1 << p for p, e in enumerate(_polygon_edges(m)[0]) if cyclic_length(e, m) > k)
+    return orbits, longs
+
+
 def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
-    """Wrap the lift onto the 2kn-gon."""
+    """Wrap the lift onto the 2kn-gon.
+
+    The image is checked to have the edge count of a k-triangulation and
+    no k+1 pairwise crossing edges among its long ones.  A class of
+    another period has no image and raises StructureViolation."""
     n, k = t.surface.n, t.surface.k
     m = 2 * k * n
-    edges: set[Edge] = set()
+    orbits, longs = _wrap_table(n, k)
+    image = 0
     for c in t.classes:
-        edges.update(orbit_of_class(c, k))
+        if c.n != n:
+            raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
+        orbit = orbits.get((c.rep.a, c.rep.b))
+        image |= _orbit_mask(c, k, m) if orbit is None else orbit
     surface = polygon(m, k)
-    if len(edges) != expected_edge_count(m, k):
+    if image.bit_count() != expected_edge_count(m, k):
         raise StructureViolation(
-            f"image has {len(edges)} edges, a k-triangulation of the {m}-gon "
+            f"image has {image.bit_count()} edges, a k-triangulation of the {m}-gon "
             f"has {expected_edge_count(m, k)}")
-    if has_k_plus_1_crossing(edges, k, surface):
+    edges, ends = _polygon_edges(m)
+    crossing = crossing_rows([ends[p] for p in bits(image & longs)])
+    if len(crossing) > k and has_clique(crossing, k + 1):
         raise StructureViolation(f"image contains a {k + 1}-crossing")
-    inner = PolygonTriangulation(surface, tuple(sorted(edges)))
+    inner = PolygonTriangulation(surface, tuple(edges[p] for p in bits(image)))
     return PeriodicPolygonTriangulation(inner, n)
 
 

@@ -158,6 +158,10 @@ def cmd_verify(args) -> int:
         return _verify_counts(args.n)
     if args.suite == "regularity":
         return _verify_regularity(args.n)
+    if args.n < 2:
+        print(f"suite pipedreams needs n >= 2, since the 4n-gon needs more than "
+              f"4 vertices for a chevron; got n={args.n}", file=sys.stderr)
+        return 2
     return _verify_pipedreams(args.n)
 
 

@@ -22,6 +22,7 @@ from .cylinder import (
 )
 from .errors import LengthPrecondition, NotInTriangulation, NotRelevant, StructureViolation
 from .pipedreams import (
+    _geometry,
     cell_edge,
     chevron_from_staircase,
     staircase_from_triangulation,
@@ -54,8 +55,9 @@ def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClas
     n, k = p.period, p.inner.surface.k
     m = 2 * k * n
     dream = chevron_from_staircase(staircase_from_triangulation(p.inner))
-    orbit = set(orbit_of_class(e, k))
-    cells = sorted(rc for rc in dream.tiles if cell_edge(*rc, m) in orbit)
+    orbit = {(f.a, f.b) for f in orbit_of_class(e, k)}
+    geometry = _geometry(dream)
+    cells = sorted(cell for cell, end in zip(geometry.cells, geometry.ends) if end in orbit)
     if not cells:
         raise StructureViolation(f"no chevron tile carries a representative of {e}")
     r, c = cells[0]

@@ -9,7 +9,7 @@ structural problems inside the library keep their own error types.
 from __future__ import annotations
 
 from .cylinder import CylinderTriangulation
-from .pipedreams import GLYPHS, PipeDream
+from .pipedreams import GLYPHS, PipeDream, _geometry
 from .polygon import PolygonTriangulation
 from .surfaces import CYLINDER, POLYGON, Edge, EdgeClass, cylinder, polygon
 
@@ -106,50 +106,17 @@ def render_ascii(p: PipeDream) -> str:
     return "\n".join([header] + grid_lines(p.tiles)) + "\n"
 
 
-TILE = 24
-
-
-def _tile_paths(kind: str, x: int, y: int) -> list[str]:
-    half = TILE // 2
-    wn = (
-        f"M {x} {y + half} A {half} {half} 0 0 1 {x + half} {y}"
-    )
-    se = (
-        f"M {x + half} {y + TILE} A {half} {half} 0 0 1 {x + TILE} {y + half}"
-    )
-    we = f"M {x} {y + half} L {x + TILE} {y + half}"
-    sn = f"M {x + half} {y + TILE} L {x + half} {y}"
-    return {
-        "bump": [wn, se],
-        "cross": [we, sn],
-        "jelbow": [wn],
-        "felbow": [se],
-    }[kind]
-
-
 def render_svg(p: PipeDream) -> str:
-    """Fixed 24-unit tiles; bumps as quarter-circle arcs, crosses as segments."""
-    rows = [r for r, _ in p.tiles]
-    cols = [c for _, c in p.tiles]
-    rmax, cmin = max(rows), min(cols)
-    width = (max(cols) - cmin + 1) * TILE
-    height = (rmax - min(rows) + 1) * TILE
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
+    """Fixed 24-unit tiles; bumps as quarter-circle arcs, crosses as segments.
+    Each tile's fragment comes from the dream's cell geometry."""
+    head, order, fragments = _geometry(p).svg
+    kinds = list(p.tiles.values())
+    return "\n".join([
+        head,
         f"<!-- shape={p.shape} n={p.m} k={p.k} -->",
-    ]
-    for (r, c) in sorted(p.tiles, key=lambda rc: (-rc[0], rc[1])):
-        x = (c - cmin) * TILE
-        y = (rmax - r) * TILE
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{TILE}" height="{TILE}" '
-            'fill="none" stroke="#ccc" stroke-width="1"/>')
-        for d in _tile_paths(p.tiles[r, c], x, y):
-            parts.append(
-                f'<path d="{d}" fill="none" stroke="#000" stroke-width="2"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        *[fragment[kinds[i]] for i, fragment in zip(order, fragments)],
+        "</svg>",
+    ]) + "\n"
 
 
 def pipedream_json(p: PipeDream) -> dict:

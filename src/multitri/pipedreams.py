@@ -10,10 +10,30 @@ whose cells carry the same edge labels modulo m.
 Row labels increase upward, so the neighbor to the north of (r, c) is
 (r+1, c).  Pipes run monotonically from west/south entries to north/east
 exits.
+
+What depends on the cells of a dream alone, and not on its tiles, is a
+`_Geometry`: the neighbour of each cell on each side, the cells where a
+pipe may enter in entry order, the polygon edge of each cell, its orbit
+under rotation by n = m/2k, and its SVG fragment for each tile kind, all
+indexed by the cell's position in insertion order.  The staircase of the
+m-gon at order k, and its chevron, have one cell list each, fixed by
+(m, k): the support on which Stump and Pilaud-Pocchiola read a
+k-triangulation as pseudolines.  `_canonical_geometry` builds each once,
+on first use, and keeps at most `_CACHE_SIZE` of them, each O(m^2).
+A call then reads its tiles in cell order and does integer work.  The
+chevron geometry also holds the rebuild as a cell map, taken from one run
+of `chevron_stages` on the all-bump staircase.  That map is exact for
+every staircase `staircase_from_triangulation` fills, since the five
+steps move cells by position and only the forced-short-edge check reads
+kinds; `chevron_from_staircase` runs that check on every call and hands
+any other staircase to `chevron_stages`.  A dream whose cell list is not
+the canonical one, in the canonical order, gets a geometry of its own for
+that call, so it never enters the cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import MalformedShape, ShapeMismatch, StructureViolation
@@ -40,6 +60,21 @@ _STEP = {"N": (1, 0), "S": (-1, 0), "E": (0, 1), "W": (0, -1)}
 
 GLYPHS = {BUMP: "B", CROSS: "X", JELBOW: "J", FELBOW: "F"}
 
+# Sides as integers: side s faces side (s + 2) % 4.  _TURNS[kind][s] is the
+# side a pipe entering a tile of that kind from side s leaves by, or None.
+_SIDES = ("N", "E", "S", "W")
+_SOUTH, _WEST = 2, 3
+_TURNS = {kind: tuple(_SIDES.index(turn[s]) if s in turn else None for s in _SIDES)
+          for kind, turn in CONNECTIONS.items()}
+
+TILE = 24
+
+# The fixed elbows of a chevron cell map, indexed past the staircase's cells.
+_ELBOWS = [JELBOW, FELBOW]
+
+# Canonical geometries kept, per (shape, m, k).
+_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class PipeDream:
@@ -61,16 +96,173 @@ def _neighbor(r: int, c: int, side: str) -> tuple[int, int]:
     return r + dr, c + dc
 
 
+def _orbit_key(x: int, y: int, n: int, m: int):
+    # Two cells carry shifts of the same edge orbit iff these unordered
+    # endpoint signatures match; comparing raw (row, col) labels would miss
+    # orbit members wrapping past vertex m, where the labels swap roles.
+    return frozenset({(x % n, (y - x) % m), (y % n, (x - y) % m)})
+
+
+def _tile_paths(x: int, y: int) -> dict[str, list[str]]:
+    """The SVG path data of each tile kind drawn with its corner at (x, y)."""
+    half = TILE // 2
+    wn = f"M {x} {y + half} A {half} {half} 0 0 1 {x + half} {y}"
+    se = f"M {x + half} {y + TILE} A {half} {half} 0 0 1 {x + TILE} {y + half}"
+    we = f"M {x} {y + half} L {x + TILE} {y + half}"
+    sn = f"M {x + half} {y + TILE} L {x + half} {y}"
+    return {BUMP: [wn, se], CROSS: [we, sn], JELBOW: [wn], FELBOW: [se]}
+
+
+class _Geometry:
+    """What the cells of an m-gon pipe dream at order k decide, indexed by
+    each cell's position in `cells` (the dream's insertion order).  Each
+    table is computed on first use."""
+
+    def __init__(self, cells: list, m: int, k: int):
+        self.cells, self.m, self.k = cells, m, k
+
+    @functools.cached_property
+    def neighbors(self) -> list[list[int]]:
+        """neighbors[s][i]: the index of the neighbour of cell i on side s, or -1."""
+        index = {cell: i for i, cell in enumerate(self.cells)}
+        return [[index.get(_neighbor(r, c, side), -1) for r, c in self.cells]
+                for side in _SIDES]
+
+    @functools.cached_property
+    def entries(self) -> list[tuple[int, int]]:
+        """(cell, side) for the cells without a west neighbour, top to bottom,
+        then those without a south neighbour, left to right: the places a
+        pipe may enter, in pipe order."""
+        cells, no = self.cells, range(len(self.cells))
+        west = sorted((i for i in no if self.neighbors[_WEST][i] < 0), key=lambda i: -cells[i][0])
+        south = sorted((i for i in no if self.neighbors[_SOUTH][i] < 0), key=lambda i: cells[i][1])
+        return [(i, _WEST) for i in west] + [(i, _SOUTH) for i in south]
+
+    @functools.cached_property
+    def ports(self) -> list[tuple[tuple[str, int, int], ...]]:
+        """ports[i][s]: the boundary port (side, r, c) of cell i on side s."""
+        return [tuple((side, r, c) for side in _SIDES) for r, c in self.cells]
+
+    @functools.cached_property
+    def visits(self) -> list[tuple[tuple[int, int, str], ...]]:
+        """visits[i][s]: the step (r, c, side) of a pipe leaving cell i by side s."""
+        return [tuple((r, c, side) for side in _SIDES) for r, c in self.cells]
+
+    @functools.cached_property
+    def ends(self) -> list[tuple[int, int]]:
+        """The endpoints (a, b) of each cell's `cell_edge`, a < b, or
+        (a, a) where the labels agree modulo m."""
+        m = self.m
+        return [tuple(sorted(((r - 1) % m, (c - 1) % m))) for r, c in self.cells]
+
+    @functools.cached_property
+    def degenerate(self) -> list[int]:
+        """The cells whose labels agree modulo m, so carry no edge."""
+        return [i for i, (a, b) in enumerate(self.ends) if a == b]
+
+    @functools.cached_property
+    def orbits(self) -> list[int]:
+        """1 << j for each cell whose edge lies in the j-th orbit under
+        rotation by n = m/2k, numbered as first met; 0 for a cell with no
+        edge."""
+        n, m = self.m // (2 * self.k), self.m
+        ids: dict = {}
+        return [0 if a == b else 1 << ids.setdefault(_orbit_key(a, b, n, m), len(ids))
+                for a, b in self.ends]
+
+    @functools.cached_property
+    def svg(self) -> tuple[str, list[int], list[dict[str, str]]]:
+        """The opening SVG tag, then the cells in drawing order (top row
+        first, left to right), with each one's fragment per tile kind."""
+        cells = self.cells
+        rows = [r for r, _ in cells]
+        cols = [c for _, c in cells]
+        rmax, cmin = max(rows), min(cols)
+        width = (max(cols) - cmin + 1) * TILE
+        height = (rmax - min(rows) + 1) * TILE
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                f'height="{height}" viewBox="0 0 {width} {height}">')
+        order = sorted(range(len(cells)), key=lambda i: (-cells[i][0], cells[i][1]))
+        fragments = []
+        for i in order:
+            x, y = (cells[i][1] - cmin) * TILE, (rmax - cells[i][0]) * TILE
+            rect = (f'<rect x="{x}" y="{y}" width="{TILE}" height="{TILE}" '
+                    'fill="none" stroke="#ccc" stroke-width="1"/>')
+            fragments.append({
+                kind: "\n".join([rect] + [
+                    f'<path d="{d}" fill="none" stroke="#000" stroke-width="2"/>'
+                    for d in paths])
+                for kind, paths in _tile_paths(x, y).items()})
+        return head, order, fragments
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _canonical_geometry(shape: str, m: int, k: int) -> _Geometry:
+    """The geometry of the staircases `staircase_from_triangulation` fills
+    for the m-gon at order k, or of the chevrons made from them.
+
+    The staircase's also lists its J elbow cells (`elbows`) and its cells
+    of gap m-k (`forced`).  The chevron's `sources` gives, for each cell,
+    the index of the staircase cell whose tile it takes, or the index past
+    the staircase's cells of its fixed elbow in `_ELBOWS`.
+    """
+    if shape == STAIRCASE:
+        geometry = _Geometry(
+            [(r, c) for r in range(k + 1, m + 1) for c in range(1, r - k + 1)], m, k)
+        geometry.elbows = [i for i, (r, c) in enumerate(geometry.cells) if r - c == k]
+        geometry.forced = [i for i, (r, c) in enumerate(geometry.cells) if r - c == m - k]
+        return geometry
+    staircase = _canonical_geometry(STAIRCASE, m, k)
+    filled = dict.fromkeys(staircase.cells, BUMP)
+    filled.update((staircase.cells[i], JELBOW) for i in staircase.elbows)
+    stages = chevron_stages(PipeDream(STAIRCASE, filled, m, k))
+    # A moved cell (r, c) of the pyramid or the triangle lands on (c, r - m).
+    moved = {(c, r - m): (r, c) for stage in ("pyramid", "triangle") for r, c in stages[stage]}
+    index = {cell: i for i, cell in enumerate(staircase.cells)}
+    geometry = _Geometry(list(stages["chevron"]), m, k)
+    geometry.sources = [
+        index[moved.get(cell, cell)] if kind == BUMP
+        else len(staircase.cells) + _ELBOWS.index(kind)
+        for cell, kind in stages["chevron"].items()]
+    return geometry
+
+
+def _canonical_size(shape: str, m: int, k: int) -> int | None:
+    """The cell count of the canonical dream of this shape and size, or
+    None where there is none; checked before a geometry is built, so a
+    hand-built dream naming a large m builds nothing of that size."""
+    if shape == STAIRCASE:
+        return (m - k) * (m - k + 1) // 2 if m > k else 0
+    if shape == CHEVRON and k >= 1 and m % 2 == 0 and m > 2 * k:
+        return (m - k) * (m - k + 1) // 2 - k * (k - 1) // 2  # step 1 drops k(k-1)/2 cells
+    return None
+
+
+def _canonical_for(p: PipeDream) -> _Geometry | None:
+    """The cached geometry of p's shape at (p.m, p.k) if p has its cells,
+    in its order."""
+    cells = list(p.tiles)
+    if len(cells) == _canonical_size(p.shape, p.m, p.k):
+        geometry = _canonical_geometry(p.shape, p.m, p.k)
+        if geometry.cells == cells:
+            return geometry
+    return None
+
+
+def _geometry(p: PipeDream) -> _Geometry:
+    """The cached geometry of p if it has one, else one of p's own cells."""
+    return _canonical_for(p) or _Geometry(list(p.tiles), p.m, p.k)
+
+
 def staircase_from_triangulation(t: PolygonTriangulation) -> PipeDream:
     """Fill the staircase for the m-gon from the edges of t."""
     m, k = t.surface.n, t.surface.k
-    edges = t.edge_set()
-    tiles = {}
-    for r in range(k + 1, m + 1):
-        for c in range(1, r - k):
-            tiles[r, c] = BUMP if Edge(c - 1, r - 1) in edges else CROSS
-        tiles[r, r - k] = JELBOW
-    return PipeDream(STAIRCASE, tiles, m, k)
+    edges = {(e.a, e.b) for e in t.edges}
+    geometry = _canonical_geometry(STAIRCASE, m, k)
+    kinds = [BUMP if end in edges else CROSS for end in geometry.ends]
+    for i in geometry.elbows:
+        kinds[i] = JELBOW
+    return PipeDream(STAIRCASE, dict(zip(geometry.cells, kinds)), m, k)
 
 
 def boundary_ports(p: PipeDream) -> list[tuple[str, int, int]]:
@@ -103,35 +295,31 @@ def trace_pipes(p: PipeDream) -> TraceResult:
     cross tile are absent from the map.  The permutation (west entry rows,
     top to bottom, to north exit columns) is reported for staircases only.
     """
-    ports = boundary_ports(p)
-    entries = sorted(
-        [q for q in ports if q[0] == "W"], key=lambda q: -q[1]
-    ) + sorted(
-        [q for q in ports if q[0] == "S"], key=lambda q: q[2]
-    )
+    geometry = _geometry(p)
+    cells, neighbors, ports, visits = geometry.cells, geometry.neighbors, geometry.ports, geometry.visits
+    kinds = list(p.tiles.values())
+    turns = [_TURNS[kind] for kind in kinds]
     paths = []
-    first_through: dict[tuple[int, int], int] = {}
+    first_through: dict[int, int] = {}
     crossings: dict[tuple[int, int], tuple] = {}
-    for pipe, (side, r, c) in enumerate(entries):
-        pos = (r, c)
-        in_side = side
+    entries = [(i, side) for i, side in geometry.entries if turns[i][side] is not None]
+    for pipe, (start, side) in enumerate(entries):
+        i, in_side = start, side
         visited = []
         while True:
-            kind = p.tiles[pos]
-            if in_side not in CONNECTIONS[kind]:
+            out_side = turns[i][in_side]
+            if out_side is None:
                 raise MalformedShape(
-                    f"pipe {pipe} enters {pos} from {in_side}, a side the "
-                    f"{kind} tile does not connect")
-            out_side = CONNECTIONS[kind][in_side]
-            visited.append((pos[0], pos[1], out_side))
-            if kind == CROSS and (first := first_through.setdefault(pos, pipe)) != pipe:
-                crossings[first, pipe] = crossings.get((first, pipe), ()) + (pos,)
-            nxt = _neighbor(*pos, out_side)
-            if nxt not in p.tiles:
-                paths.append(PipePath((side, r, c), (out_side, *pos), tuple(visited)))
+                    f"pipe {pipe} enters {cells[i]} from {_SIDES[in_side]}, a side the "
+                    f"{kinds[i]} tile does not connect")
+            visited.append(visits[i][out_side])
+            if kinds[i] == CROSS and (first := first_through.setdefault(i, pipe)) != pipe:
+                crossings[first, pipe] = crossings.get((first, pipe), ()) + (cells[i],)
+            nxt = neighbors[out_side][i]
+            if nxt < 0:
+                paths.append(PipePath(ports[start][side], ports[i][out_side], tuple(visited)))
                 break
-            pos = nxt
-            in_side = OPPOSITE[out_side]
+            i, in_side = nxt, (out_side + 2) % 4
     permutation = None
     if p.shape == STAIRCASE:
         permutation = [path.exit[2] for path in paths]
@@ -146,6 +334,17 @@ def _pyramid_cells(m: int, k: int, width: int) -> list[tuple[int, int]]:
     return cells
 
 
+def _check_chevron_input(p: PipeDream) -> None:
+    if p.shape != STAIRCASE:
+        raise ShapeMismatch(f"chevron construction starts from a staircase, got {p.shape}")
+    if p.m % 2:
+        raise ShapeMismatch(f"chevron construction needs an even gon, got m={p.m}")
+    if p.m <= 2 * p.k:
+        # The 2k-gon has every edge short: no gap m-k cell holds a box.
+        raise ShapeMismatch(
+            f"chevron construction needs more than 2k vertices, got m={p.m} with k={p.k}")
+
+
 def chevron_stages(p: PipeDream) -> dict:
     """Run the staircase-to-chevron rebuild, keeping every intermediate piece.
 
@@ -153,11 +352,8 @@ def chevron_stages(p: PipeDream) -> dict:
     pyramid itself, the dream after the pyramid is reattached at the SW,
     that dream minus the NE triangle, the triangle, and the final chevron.
     """
-    if p.shape != STAIRCASE:
-        raise ShapeMismatch(f"chevron construction starts from a staircase, got {p.shape}")
+    _check_chevron_input(p)
     m, k = p.m, p.k
-    if m % 2:
-        raise ShapeMismatch(f"chevron construction needs an even gon, got m={m}")
     tiles = dict(p.tiles)
 
     # Step 1: drop the k north-west pipes.  Their strands fill the cells of
@@ -224,6 +420,25 @@ def chevron_stages(p: PipeDream) -> dict:
 
 
 def chevron_from_staircase(p: PipeDream) -> PipeDream:
+    """The last stage of `chevron_stages`, read off the cached cell map
+    when p is a staircase `staircase_from_triangulation` could have made:
+    the canonical cells in order, J elbows on the gap-k diagonal and boxes
+    elsewhere.  Its forced short edges are checked as in `chevron_stages`."""
+    _check_chevron_input(p)
+    staircase = _canonical_for(p)
+    if staircase is not None:
+        kinds = list(p.tiles.values())
+        for i in staircase.forced:
+            if kinds[i] != BUMP:
+                raise StructureViolation(
+                    f"cell {staircase.cells[i]} should hold a forced short edge, "
+                    f"found {kinds[i]}")
+        elbows = [kinds[i] for i in staircase.elbows]
+        if (elbows.count(JELBOW) == len(elbows)
+                and kinds.count(BUMP) + kinds.count(CROSS) == len(kinds) - len(elbows)):
+            chevron = _canonical_geometry(CHEVRON, p.m, p.k)
+            tiles = dict(zip(chevron.cells, map((kinds + _ELBOWS).__getitem__, chevron.sources)))
+            return PipeDream(CHEVRON, tiles, p.m, p.k)
     return PipeDream(CHEVRON, chevron_stages(p)["chevron"], p.m, p.k)
 
 
@@ -232,26 +447,23 @@ def cell_edge(r: int, c: int, m: int) -> Edge:
     return Edge((r - 1) % m, (c - 1) % m)
 
 
-def _orbit_key(e: Edge, n: int, m: int):
-    # Two cells carry shifts of the same edge orbit iff these unordered
-    # endpoint signatures match; comparing raw (row, col) labels would miss
-    # orbit members wrapping past vertex m, where the labels swap roles.
-    x, y = e.a, e.b
-    return frozenset({(x % n, (y - x) % m), (y % n, (x - y) % m)})
-
-
 def is_n_periodic(p: PipeDream, n: int) -> bool:
     """Do label-congruent boxes agree in kind?  Elbows carry no filling."""
     m, k = p.m, p.k
     if m != 2 * k * n:
         raise ShapeMismatch(f"period {n} with k={k} needs a {2 * k * n}-gon, got m={m}")
-    groups: dict = {}
-    for (r, c), kind in p.tiles.items():
-        if kind not in (BUMP, CROSS):
-            continue
-        key = _orbit_key(cell_edge(r, c, m), n, m)
-        groups.setdefault(key, set()).add(kind)
-    return all(len(kinds) == 1 for kinds in groups.values())
+    geometry = _geometry(p)
+    kinds = list(p.tiles.values())
+    for i in geometry.degenerate:
+        if kinds[i] in (BUMP, CROSS):
+            cell_edge(*geometry.cells[i], m)  # raises: a box here carries no edge
+    bumps = crosses = 0
+    for orbit, kind in zip(geometry.orbits, kinds):
+        if kind == BUMP:
+            bumps |= orbit
+        elif kind == CROSS:
+            crosses |= orbit
+    return not bumps & crosses
 
 
 def is_reflection_symmetric(p: PipeDream) -> bool:

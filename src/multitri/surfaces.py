@@ -217,6 +217,21 @@ def has_k_plus_1_crossing(edges, k: int, surface: SurfaceDesc) -> bool:
     return len(longs) > k and has_clique(CrossingUniverse(k, longs, own_blocks=False).adj, k + 1)
 
 
+def crossing_rows(ends) -> list[int]:
+    """The crossing graph of edges given as sorted (a, b) pairs, a < b, as
+    bitmask rows: bit q of row p is set iff edges p and q interleave."""
+    adj = [0] * len(ends)
+    for p, (a, b) in enumerate(ends):
+        for q in range(p + 1, len(ends)):
+            c, d = ends[q]
+            if c >= b:
+                break
+            if a < c and b < d:
+                adj[p] |= 1 << q
+                adj[q] |= 1 << p
+    return adj
+
+
 def window_translations(k: int) -> range:
     """Translation indices of the lift window of `lift_universe`."""
     return range(-(2 * k + 1), 2 * k + 2)
@@ -234,14 +249,7 @@ class CrossingUniverse:
         self.k, self.own_blocks = k, own_blocks
         self.edges = sorted(e for group in groups for e in group)
         position = {e: p for p, e in enumerate(self.edges)}
-        self.adj = [0] * len(self.edges)
-        for p, e in enumerate(self.edges):
-            for q in range(p + 1, len(self.edges)):
-                if self.edges[q].a >= e.b:
-                    break
-                if cover_crosses(e, self.edges[q]):
-                    self.adj[p] |= 1 << q
-                    self.adj[q] |= 1 << p
+        self.adj = crossing_rows([(e.a, e.b) for e in self.edges])
         self.members = [sum(1 << position[e] for e in group) for group in groups]
         self.through_rep = [self.adj[position[group[0]]] for group in groups]
 
