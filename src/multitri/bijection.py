@@ -26,16 +26,16 @@ from typing import NamedTuple
 
 from .cylinder import CylinderTriangulation, stars_of
 from .errors import NotPeriodic, StructureViolation
-from .polygon import PolygonTriangulation, expected_edge_count
+from .polygon import PolygonTriangulation, _rotation_orbit, _unshifted, expected_edge_count
 from .surfaces import (
     Edge,
     EdgeClass,
+    _check_classes,
+    _has_crossing,
     bits,
-    crossing_rows,
     cyclic_length,
     cylinder,
     edge_class_of,
-    has_clique,
     polygon,
 )
 
@@ -55,12 +55,9 @@ class PeriodicPolygonTriangulation:
         if m != 2 * k * self.period:
             raise ValueError(
                 f"period {self.period} with k={k} needs a {2 * k * self.period}-gon, got {m}")
-        ends = {(e.a, e.b) for e in self.inner.edges}
-        for e in self.inner.edges:
-            a, b = (e.a + self.period) % m, (e.b + self.period) % m
-            if ((a, b) if a < b else (b, a)) not in ends:
-                raise NotPeriodic(
-                    f"edge {e} present but its shift by {self.period} is not")
+        e = _unshifted(self.inner.edges, self.period, m)
+        if e is not None:
+            raise NotPeriodic(f"edge {e} present but its shift by {self.period} is not")
 
 
 class CountReport(NamedTuple):
@@ -71,12 +68,7 @@ class CountReport(NamedTuple):
 
 def orbit_of_class(c: EdgeClass, k: int) -> list[Edge]:
     """The polygon edges the class wraps onto, 2k of them (k if spanning)."""
-    m = 2 * k * c.n
-    edges = {
-        Edge((c.rep.a + t * c.n) % m, (c.rep.b + t * c.n) % m)
-        for t in range(2 * k)
-    }
-    return sorted(edges)
+    return _rotation_orbit(c.rep.a, c.rep.b, c.n, 2 * k * c.n)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -86,17 +78,14 @@ def _polygon_edges(m: int) -> tuple[list[Edge], list[tuple[int, int]]]:
     return [Edge(a, b) for a, b in ends], ends
 
 
-def _orbit_mask(c: EdgeClass, k: int, m: int) -> int:
-    return sum(1 << (e.a * (2 * m - e.a - 1) // 2 + e.b - e.a - 1) for e in orbit_of_class(c, k))
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _wrap_table(n: int, k: int) -> tuple[dict[tuple[int, int], int], int]:
     """The orbit mask of each class of C_n of length at most kn, keyed by
     its representative's (a, b), and the mask of the 2kn-gon's edges of
     cyclic length above k."""
     m = 2 * k * n
-    orbits = {(a, b): _orbit_mask(EdgeClass(Edge(a, b), n), k, m)
+    orbits = {(a, b): sum(1 << (e.a * (2 * m - e.a - 1) // 2 + e.b - e.a - 1)
+                          for e in _rotation_orbit(a, b, n, m))
               for a in range(n) for b in range(a + 1, a + k * n + 1)}
     longs = sum(1 << p for p, e in enumerate(_polygon_edges(m)[0]) if cyclic_length(e, m) > k)
     return orbits, longs
@@ -105,26 +94,24 @@ def _wrap_table(n: int, k: int) -> tuple[dict[tuple[int, int], int], int]:
 def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
     """Wrap the lift onto the 2kn-gon.
 
-    The image is checked to have the edge count of a k-triangulation and
-    no k+1 pairwise crossing edges among its long ones.  A class of
-    another period has no image and raises StructureViolation."""
+    The class list passes `_check_classes` first: a repeated class, one of
+    another period or one longer than kn has no image.  The image is
+    checked to have the edge count of a k-triangulation and no k+1
+    pairwise crossing edges among its long ones."""
     n, k = t.surface.n, t.surface.k
+    _check_classes(t.classes, n, k)
     m = 2 * k * n
     orbits, longs = _wrap_table(n, k)
     image = 0
     for c in t.classes:
-        if c.n != n:
-            raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
-        orbit = orbits.get((c.rep.a, c.rep.b))
-        image |= _orbit_mask(c, k, m) if orbit is None else orbit
+        image |= orbits[c.rep.a, c.rep.b]
     surface = polygon(m, k)
     if image.bit_count() != expected_edge_count(m, k):
         raise StructureViolation(
             f"image has {image.bit_count()} edges, a k-triangulation of the {m}-gon "
             f"has {expected_edge_count(m, k)}")
     edges, ends = _polygon_edges(m)
-    crossing = crossing_rows([ends[p] for p in bits(image & longs)])
-    if len(crossing) > k and has_clique(crossing, k + 1):
+    if _has_crossing([ends[p] for p in bits(image & longs)], k):
         raise StructureViolation(f"image contains a {k + 1}-crossing")
     inner = PolygonTriangulation(surface, tuple(edges[p] for p in bits(image)))
     return PeriodicPolygonTriangulation(inner, n)

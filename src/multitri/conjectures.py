@@ -108,6 +108,8 @@ def check_bijection_k(n: int, k: int) -> dict:
 
 def _bijection_report(n: int, k: int, cyl) -> dict:
     m = 2 * k * n
+    if m < 3:
+        return {"check": "bijection", "n": n, "k": k, "skipped": "C_1 at k=1 wraps onto a 2-gon"}
     periodic = enumerate_shift_invariant(polygon(m, k), n)
     images = {}
     failures = []
@@ -261,7 +263,8 @@ def run_all_checks(n: int, k: int) -> dict:
     """The lab's four reports in one JSON-ready bundle.
 
     The translation lemma is k=2-specific and is skipped (with a note)
-    for other k.  C_n is enumerated once and shared by the checks.
+    for other k, and so is the bijection at C_1, k=1, whose 2kn-gon would
+    be a 2-gon.  C_n is enumerated once and shared by the checks.
     """
     triangulations = enumerate_cylinder(cylinder(n, k))
     reports = {

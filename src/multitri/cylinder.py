@@ -205,8 +205,8 @@ def canonical_star(star: KStar, n: int) -> KStar:
 
 
 def stars_of(t: CylinderTriangulation) -> list[KStar]:
-    """The distinct stars of the lift up to translation, each moved by
-    `canonical_star`, ordered by sorted vertices.
+    """The distinct stars of the lift up to translation, each with its lowest
+    vertex in [0, n), ordered by sorted vertices.
 
     At k=2 the lift decomposes into stars, the k-stars whose edges all lie
     in it (this paper's decomposition, the cylinder analogue of

@@ -91,14 +91,13 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
     if not e.is_relevant(k):
         raise NotRelevant(f"{e} has length {e.length} <= k={k}, not flippable")
     p = phi(t)
-    # phi(t) has rejected an image with a (k+1)-crossing, and that covers
-    # t's lift once its class list is well formed (checked by `indices`):
-    # no class is longer than kn, and the edges of a lift (k+1)-crossing
-    # interleave as a_0 < ... < a_k < b_0 < ... < b_k, so their endpoints
-    # span b_k - a_0 < (b_k - a_k) + (b_0 - a_0) <= 2kn and wrap onto a
+    # phi(t) has checked t's class list (`_check_classes`) and rejected an
+    # image with a (k+1)-crossing, and that covers t's lift: no class is
+    # longer than kn, and the edges of a lift (k+1)-crossing interleave as
+    # a_0 < ... < a_k < b_0 < ... < b_k, so their endpoints span
+    # b_k - a_0 < (b_k - a_k) + (b_0 - a_0) <= 2kn and wrap onto a
     # (k+1)-crossing of the 2kn-gon.
     universe = lift_universe(t.surface.n, k)
-    universe.indices(t.classes)
     f_stars = _flip_via_stars(t, e)
     f_chevron = _flip_via_chevron(p, e)
     if f_stars != f_chevron:

@@ -37,7 +37,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import MalformedShape, ShapeMismatch, StructureViolation
-from .polygon import PolygonTriangulation, short_edges
+from .polygon import PolygonTriangulation, _rotation_orbit, short_edges
 from .surfaces import Edge, polygon
 
 BUMP = "bump"
@@ -55,7 +55,6 @@ CONNECTIONS = {
     FELBOW: {"S": "E", "E": "S"},
 }
 
-OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 _STEP = {"N": (1, 0), "S": (-1, 0), "E": (0, 1), "W": (0, -1)}
 
 GLYPHS = {BUMP: "B", CROSS: "X", JELBOW: "J", FELBOW: "F"}
@@ -94,13 +93,6 @@ class PipePath:
 def _neighbor(r: int, c: int, side: str) -> tuple[int, int]:
     dr, dc = _STEP[side]
     return r + dr, c + dc
-
-
-def _orbit_key(x: int, y: int, n: int, m: int):
-    # Two cells carry shifts of the same edge orbit iff these unordered
-    # endpoint signatures match; comparing raw (row, col) labels would miss
-    # orbit members wrapping past vertex m, where the labels swap roles.
-    return frozenset({(x % n, (y - x) % m), (y % n, (x - y) % m)})
 
 
 def _tile_paths(x: int, y: int) -> dict[str, list[str]]:
@@ -167,7 +159,7 @@ class _Geometry:
         edge."""
         n, m = self.m // (2 * self.k), self.m
         ids: dict = {}
-        return [0 if a == b else 1 << ids.setdefault(_orbit_key(a, b, n, m), len(ids))
+        return [0 if a == b else 1 << ids.setdefault(_rotation_orbit(a, b, n, m)[0], len(ids))
                 for a, b in self.ends]
 
     @functools.cached_property

@@ -79,6 +79,12 @@ def short_edges(n: int, k: int) -> set[Edge]:
     return {Edge(v, (v + d) % n) for d in range(1, min(k, n // 2) + 1) for v in range(n)}
 
 
+def _rotation_orbit(a: int, b: int, shift: int, m: int) -> list[Edge]:
+    """The edges of the m-gon that [a, b] rotates onto by the multiples of
+    `shift`, sorted."""
+    return sorted({Edge((a + d) % m, (b + d) % m) for d in range(0, m, shift)})
+
+
 def all_edges(n: int) -> list[Edge]:
     return [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
 
@@ -113,12 +119,8 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
     edges.  Each result is merged with the short edges on integer ranks
     (`sorted_unions`)."""
     n, k = surface.n, surface.k
-
-    def orbit(e: Edge) -> tuple[Edge, ...]:
-        return tuple(sorted({Edge((e.a + d) % n, (e.b + d) % n)
-                             for d in range(0, n, abs(shift))}))
-
-    orbits = sorted({orbit(e) for e in relevant_candidates(n, k)})
+    orbits = sorted({tuple(_rotation_orbit(e.a, e.b, abs(shift), n))
+                     for e in relevant_candidates(n, k)})
     universe = CrossingUniverse(k, orbits, own_blocks=False)
     shorts = short_edges(n, k)
     # Polygon purity: every k-triangulation has expected_edge_count edges.
@@ -296,10 +298,18 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
 
 
 def is_shift_invariant(t: PolygonTriangulation, shift: int) -> bool:
-    edges = t.edge_set()
-    return all(
-        Edge((e.a + shift) % t.surface.n, (e.b + shift) % t.surface.n) in edges
-        for e in t.edges)
+    return _unshifted(t.edges, shift, t.surface.n) is None
+
+
+def _unshifted(edges, shift: int, m: int) -> Edge | None:
+    """The first of the m-gon's `edges` whose rotation by `shift` is not
+    among them, or None."""
+    ends = {(e.a, e.b) for e in edges}
+    for e in edges:
+        a, b = (e.a + shift) % m, (e.b + shift) % m
+        if ((a, b) if a < b else (b, a)) not in ends:
+            return e
+    return None
 
 
 def enumerate_shift_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangulation]:

@@ -211,10 +211,16 @@ def _crossing_capable(e: Edge, k: int, surface: SurfaceDesc) -> bool:
 
 
 def has_k_plus_1_crossing(edges, k: int, surface: SurfaceDesc) -> bool:
-    """Does the edge set contain k+1 pairwise-crossing edges?  A clique search
-    on the crossing rows of a `CrossingUniverse` of the long enough edges."""
-    longs = [[e] for e in set(edges) if _crossing_capable(e, k, surface)]
-    return len(longs) > k and has_clique(CrossingUniverse(k, longs, own_blocks=False).adj, k + 1)
+    """Does the edge set contain k+1 pairwise-crossing edges?  `_has_crossing`
+    on the long enough edges."""
+    longs = {(e.a, e.b) for e in edges if _crossing_capable(e, k, surface)}
+    return _has_crossing(sorted(longs), k)
+
+
+def _has_crossing(ends, k: int) -> bool:
+    """Do the edges, given as sorted (a, b) pairs with a < b, hold k+1
+    pairwise-crossing ones?  One clique search on their `crossing_rows`."""
+    return len(ends) > k and has_clique(crossing_rows(ends), k + 1)
 
 
 def crossing_rows(ends) -> list[int]:

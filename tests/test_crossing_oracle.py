@@ -4,8 +4,8 @@ replace.
 `oracle_has_k_plus_1_crossing` builds its crossing graph pair by pair, with
 the polygon's own test "exactly one endpoint of f strictly inside e, no
 shared endpoint" and `cover_crosses` on the cylinder, and runs one clique
-search on it.  The library's version reads the graph from a
-`CrossingUniverse`; both must answer alike on triangulations, their
+search on it.  The library's version builds the graph of the long edges
+with `crossing_rows`; both must answer alike on triangulations, their
 one-edge deletions, additions and swaps, the `phi` images of C_2..C_4 and
 random cover edge sets.
 """

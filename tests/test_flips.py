@@ -17,7 +17,6 @@ from multitri import (
     flip_graph_json,
     is_periodic_crossing_free,
     orbit_flip,
-    phi,
     relevant_class_candidates,
     validate_cylinder_triangulation,
 )
@@ -60,22 +59,19 @@ def test_flip_gates(t_left):
 
 
 def test_flip_rejects_a_repeated_class():
-    """`phi` wraps t with a relevant class repeated onto the image of t."""
     t = enumerate_cylinder(cylinder(3, 2))[5]
     e = edge_class_of(Edge(0, 3), 3)
     probe = CylinderTriangulation(t.surface, t.classes + (e,))
-    assert phi(probe) == phi(t)
     with pytest.raises(StructureViolation, match="duplicate classes"):
         orbit_flip(probe, e)
 
 
 def test_flip_rejects_a_class_longer_than_kn():
-    """~[0,9] wraps onto the 12-gon like its short alias ~[0,3]."""
+    """~[0,9] would wrap onto the 12-gon like its short alias ~[0,3]."""
     t = enumerate_cylinder(cylinder(3, 2))[5]
     short, alias = edge_class_of(Edge(0, 3), 3), edge_class_of(Edge(0, 9), 3)
     probe = CylinderTriangulation(
         t.surface, tuple(sorted(alias if c == short else c for c in t.classes)))
-    assert phi(probe) == phi(t)
     with pytest.raises(EdgeTooLong):
         orbit_flip(probe, edge_class_of(Edge(0, 4), 3))
 

@@ -1,11 +1,12 @@
 """`phi` and the pipe dreams on cached (m, k) geometry, against direct code.
 
 The oracles below are the direct implementations the geometry replaced:
-`oracle_phi` builds the image as a set of `Edge`s and runs
-`has_k_plus_1_crossing`; `oracle_periodic_check` is the periodicity check
-of `PeriodicPolygonTriangulation` on `Edge`s; `oracle_staircase`,
-`oracle_render_svg` and `oracle_is_n_periodic` read every tile of the dream
-by its (row, column) labels.  `oracle_trace_pipes` and
+`oracle_phi` builds the image as a set of `Edge`s, from its own copy of
+the class orbit, and runs `oracle_has_k_plus_1_crossing`;
+`oracle_periodic_check` is the periodicity check of
+`PeriodicPolygonTriangulation` and `is_shift_invariant` on `Edge`s;
+`oracle_staircase`, `oracle_render_svg` and `oracle_is_n_periodic` read
+every tile of the dream by its (row, column) labels.  `oracle_trace_pipes` and
 `chevron_stages(...)["chevron"]` are the oracles for tracing and for the
 chevron.  Every public result must be equal, dict order included, or raise
 the same exception type with the same message.
@@ -26,6 +27,7 @@ from multitri import (
     CylinderTriangulation,
     Edge,
     EdgeClass,
+    EdgeTooLong,
     NotPeriodic,
     PeriodicPolygonTriangulation,
     PipeDream,
@@ -39,9 +41,8 @@ from multitri import (
     enumerate_cylinder,
     enumerate_polygon,
     expected_edge_count,
-    has_k_plus_1_crossing,
     is_n_periodic,
-    orbit_of_class,
+    is_shift_invariant,
     phi,
     polygon,
     polygon_flip,
@@ -54,6 +55,7 @@ from multitri import bijection, pipedreams
 from multitri.cli import main
 
 from conftest import WORKED_12GON_LONG, make_polygon_triangulation
+from test_crossing_oracle import oracle_has_k_plus_1_crossing
 from test_trace_pipes_oracle import oracle_trace_pipes
 
 TILE = 24
@@ -68,18 +70,23 @@ def oracle_periodic_check(inner: PolygonTriangulation, period: int) -> None:
             raise NotPeriodic(f"edge {e} present but its shift by {period} is not")
 
 
+def oracle_orbit(c: EdgeClass, k: int) -> list[Edge]:
+    m = 2 * k * c.n
+    return sorted({Edge((c.rep.a + t * c.n) % m, (c.rep.b + t * c.n) % m) for t in range(2 * k)})
+
+
 def oracle_phi(t: CylinderTriangulation) -> tuple[PolygonTriangulation, int]:
     n, k = t.surface.n, t.surface.k
     m = 2 * k * n
     edges: set[Edge] = set()
     for c in t.classes:
-        edges.update(orbit_of_class(c, k))
+        edges.update(oracle_orbit(c, k))
     surface = polygon(m, k)
     if len(edges) != expected_edge_count(m, k):
         raise StructureViolation(
             f"image has {len(edges)} edges, a k-triangulation of the {m}-gon "
             f"has {expected_edge_count(m, k)}")
-    if has_k_plus_1_crossing(edges, k, surface):
+    if oracle_has_k_plus_1_crossing(edges, k, surface):
         raise StructureViolation(f"image contains a {k + 1}-crossing")
     inner = PolygonTriangulation(surface, tuple(sorted(edges)))
     oracle_periodic_check(inner, n)
@@ -294,12 +301,10 @@ def test_phi_error_paths_match_the_oracle():
     t = enumerate_cylinder(cylinder(3, 2))[5]
     n, k = 3, 2
     relevant = [c for c in t.classes if c.is_relevant(k) and not c.is_spanning(k)]
-    cases = [t.classes[1:], t.classes + t.classes[:1]]  # a class missing, one repeated
+    cases = [t.classes[1:]]  # a class missing
     absent = [EdgeClass(Edge(a, b), n) for a in range(n) for b in range(a + k + 1, a + k * n)
               if EdgeClass(Edge(a, b), n) not in t.class_set()]
     cases += [tuple(c for c in t.classes if c != relevant[0]) + (f,) for f in absent]
-    for length in (k * n + 1, k * n + 2, 2 * k * n, 2 * k * n + 1):  # over-long
-        cases.append(t.classes[:-1] + (EdgeClass(Edge(0, length), n),))
     messages = set()
     for classes in cases:
         u = CylinderTriangulation(t.surface, tuple(classes))
@@ -310,7 +315,14 @@ def test_phi_error_paths_match_the_oracle():
         messages.add(got[2] if got[0] == "raised" else "ok")
     assert "image contains a 3-crossing" in messages
     assert "image has 34 edges, a k-triangulation of the 12-gon has 38" in messages
-    assert any(m.startswith("degenerate edge") for m in messages)
+    # A repeated class and a class longer than kn fail the class-list check
+    # before anything is wrapped.
+    with pytest.raises(StructureViolation, match="duplicate classes"):
+        phi(CylinderTriangulation(t.surface, t.classes + t.classes[:1]))
+    for length in (k * n + 1, k * n + 2, 2 * k * n, 2 * k * n + 1):
+        u = CylinderTriangulation(t.surface, t.classes[:-1] + (EdgeClass(Edge(0, length), n),))
+        with pytest.raises(EdgeTooLong, match=rf"has length {length} > k\*n = {k * n}"):
+            phi(u)
 
 
 def test_phi_rejects_a_class_of_another_period():
@@ -328,6 +340,7 @@ def test_periodic_check_matches_the_oracle(worked_12gon):
         got = outcome(PeriodicPolygonTriangulation, t, period)
         want = outcome(oracle_periodic_check, t, period)
         assert got == want if want[0] == "raised" else got[0] == "ok"
+        assert is_shift_invariant(t, period) == (want[0] == "ok")
         raised += want[0] == "raised"
     assert 0 < raised < len(cases)
 

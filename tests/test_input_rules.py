@@ -3,8 +3,9 @@
 The size rule lives in the enumerators' gates: every entry point that
 enumerates cylinders refuses a size past `cylinder.ENUMERATION_BUDGET` with
 TooLarge before it builds a lift universe.  The shape rule for a class list
-lives in `surfaces._check_classes`: an over-long class and a repeated class
-each get one error type and one message on every checking path.
+lives in `surfaces._check_classes`: an over-long class, a repeated class
+and a class of another period each get one error type and one message on
+every checking path, `phi` included.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from multitri import (
     find_multi_representative_stars,
     is_periodic_crossing_free,
     orbit_flip,
+    phi,
     run_all_checks,
     stars_of,
     validate_cylinder_triangulation,
@@ -83,20 +85,27 @@ def test_gate_refuses_before_building_a_universe(no_universe, name, n, k):
 
 @pytest.fixture(scope="module")
 def probes() -> dict:
-    """A C_3 triangulation with ~[0,3] replaced by ~[0,9], and with ~[0,3]
-    listed twice."""
+    """A C_3 triangulation with ~[0,3] replaced by ~[0,9], with ~[0,3]
+    listed twice, and with ~[0,3] replaced by its class of period 4."""
     t = enumerate_cylinder(cylinder(3, 2))[5]
     short, alias = edge_class_of(Edge(0, 3), 3), edge_class_of(Edge(0, 9), 3)
+    other = edge_class_of(Edge(0, 3), 4)
+
+    def swapped(new):
+        return CylinderTriangulation(
+            t.surface, tuple(sorted(new if c == short else c for c in t.classes)))
+
     return {
-        "over-long": CylinderTriangulation(
-            t.surface, tuple(sorted(alias if c == short else c for c in t.classes))),
+        "over-long": swapped(alias),
         "repeated": CylinderTriangulation(t.surface, t.classes + (short,)),
+        "other period": swapped(other),
     }
 
 
 ANSWERS = {
     "over-long": (EdgeTooLong, "class ~[0,9] has length 9 > k*n = 6"),
     "repeated": (StructureViolation, "duplicate classes"),
+    "other period": (StructureViolation, "class ~[0,3] has period 4, surface has 3"),
 }
 
 PATHS = {
@@ -106,6 +115,7 @@ PATHS = {
     "count_report": count_report,
     "orbit_flip": lambda t: orbit_flip(t, edge_class_of(Edge(0, 4), 3)),
     "is_periodic_crossing_free": lambda t: is_periodic_crossing_free(t.classes, 2, 3),
+    "phi": phi,
 }
 
 

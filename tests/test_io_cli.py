@@ -233,6 +233,16 @@ def test_cli_lab_admits_c1_beyond_the_budget_table(capsys):
     assert bundle["reports"]["bijection"]["holds"]
 
 
+def test_cli_lab_skips_the_bijection_of_c1_at_k1(capsys):
+    """C_1 at k=1 wraps onto a 2-gon, so there is no polygon side to compare."""
+    assert main(["verify", "--suite", "conjectures", "--n", "1", "--k", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "bijection: C_1 at k=1 wraps onto a 2-gon" in out
+    reports = json.loads(out[-1])["reports"]
+    assert reports["bijection"]["skipped"] == "C_1 at k=1 wraps onto a 2-gon"
+    assert reports["counts"]["holds"] and reports["star_decomposition"]["holds"]
+
+
 def test_cli_flip(tmp_path, capsys, t_left):
     path = _write_input(tmp_path, t_left)
     assert main(["flip", "--input", path, "--edge", "1,6"]) == 0

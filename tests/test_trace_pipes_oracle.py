@@ -35,7 +35,9 @@ from multitri import (
     trace_pipes,
 )
 from multitri.errors import MalformedShape
-from multitri.pipedreams import CONNECTIONS, OPPOSITE, PipePath, _neighbor, boundary_ports
+from multitri.pipedreams import CONNECTIONS, PipePath, _neighbor, boundary_ports
+
+OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 
 def oracle_trace_pipes(p: PipeDream) -> TraceResult:
