@@ -101,19 +101,23 @@ def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
     n, k = t.surface.n, t.surface.k
     _check_classes(t.classes, n, k)
     m = 2 * k * n
-    orbits, longs = _wrap_table(n, k)
-    image = 0
-    for c in t.classes:
-        image |= orbits[c.rep.a, c.rep.b]
-    surface = polygon(m, k)
-    if image.bit_count() != expected_edge_count(m, k):
+    wanted = expected_edge_count(m, k)
+    if k * len(t.classes) <= wanted <= 2 * k * len(t.classes):
+        orbits, longs = _wrap_table(n, k)
+        image = 0
+        for c in t.classes:
+            image |= orbits[c.rep.a, c.rep.b]
+        count = image.bit_count()
+    else:
+        # Each class wraps onto k or 2k edges, so the count is off without the tables.
+        count = sum(k if c.is_spanning(k) else 2 * k for c in t.classes)
+    if count != wanted:
         raise StructureViolation(
-            f"image has {image.bit_count()} edges, a k-triangulation of the {m}-gon "
-            f"has {expected_edge_count(m, k)}")
+            f"image has {count} edges, a k-triangulation of the {m}-gon has {wanted}")
     edges, ends = _polygon_edges(m)
     if _has_crossing([ends[p] for p in bits(image & longs)], k):
         raise StructureViolation(f"image contains a {k + 1}-crossing")
-    inner = PolygonTriangulation(surface, tuple(edges[p] for p in bits(image)))
+    inner = PolygonTriangulation(polygon(m, k), tuple(edges[p] for p in bits(image)))
     return PeriodicPolygonTriangulation(inner, n)
 
 

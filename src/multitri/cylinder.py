@@ -22,6 +22,7 @@ from .surfaces import (
     _check_classes,
     cyclically_ordered,
     edge_class_of,
+    is_periodic_crossing_free,
     lift_universe,
     sorted_unions,
     window_translations,
@@ -220,8 +221,7 @@ def stars_of(t: CylinderTriangulation) -> list[KStar]:
     n, k = t.surface.n, t.surface.k
     if k != 2 and any(k < c.length < k * n for c in t.classes):
         raise LengthPrecondition(f"star location is established for k=2 only, got k={k}")
-    universe = lift_universe(n, k)
-    if not universe.crossing_free(universe.indices(t.classes)):
+    if not is_periodic_crossing_free(t.classes, k, n):
         raise StructureViolation(f"lift contains a {k + 1}-crossing")
     return _cover_stars(t)
 

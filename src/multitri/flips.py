@@ -29,7 +29,7 @@ from .pipedreams import (
     trace_pipes,
 )
 from .polygon import _bisectors, _sole_bisector, make_star
-from .surfaces import EdgeClass, cylinder, edge_class_of, lift_universe
+from .surfaces import EdgeClass, cylinder, edge_class_of, is_periodic_crossing_free
 
 
 def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
@@ -97,7 +97,6 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
     # a_0 < ... < a_k < b_0 < ... < b_k, so their endpoints span
     # b_k - a_0 < (b_k - a_k) + (b_0 - a_0) <= 2kn and wrap onto a
     # (k+1)-crossing of the 2kn-gon.
-    universe = lift_universe(t.surface.n, k)
     f_stars = _flip_via_stars(t, e)
     f_chevron = _flip_via_chevron(p, e)
     if f_stars != f_chevron:
@@ -105,7 +104,7 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
             f"flip backends disagree on {e}: stars give {f_stars}, "
             f"chevron gives {f_chevron}")
     classes = tuple(sorted(set(t.classes) - {e} | {f_stars}))
-    if not universe.crossing_free(universe.indices(classes)):
+    if not is_periodic_crossing_free(classes, k, t.surface.n):
         raise StructureViolation(f"flip of {e} to {f_stars} created a crossing")
     return CylinderTriangulation(t.surface, classes), f_stars
 

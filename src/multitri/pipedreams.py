@@ -59,6 +59,9 @@ _STEP = {"N": (1, 0), "S": (-1, 0), "E": (0, 1), "W": (0, -1)}
 
 GLYPHS = {BUMP: "B", CROSS: "X", JELBOW: "J", FELBOW: "F"}
 
+# A cell's anti-diagonal transpose and the chevron's reflection swap J and F elbows.
+_MIRRORED = {JELBOW: FELBOW, FELBOW: JELBOW}
+
 # Sides as integers: side s faces side (s + 2) % 4.  _TURNS[kind][s] is the
 # side a pipe entering a tile of that kind from side s leaves by, or None.
 _SIDES = ("N", "E", "S", "W")
@@ -337,6 +340,15 @@ def _check_chevron_input(p: PipeDream) -> None:
             f"chevron construction needs more than 2k vertices, got m={p.m} with k={p.k}")
 
 
+def _carry(tiles: dict, piece: dict, name: str, m: int) -> None:
+    """Move `piece` into `tiles`, each cell onto the anti-diagonal transpose of its labels."""
+    for (r, c), kind in piece.items():
+        target = (c, r - m)
+        if target in tiles:
+            raise StructureViolation(f"{name} cell {(r, c)} lands on occupied {target}")
+        tiles[target] = _MIRRORED.get(kind, kind)
+
+
 def chevron_stages(p: PipeDream) -> dict:
     """Run the staircase-to-chevron rebuild, keeping every intermediate piece.
 
@@ -374,14 +386,8 @@ def chevron_stages(p: PipeDream) -> dict:
     pyramid = {cell: tiles.pop(cell) for cell in _pyramid_cells(m, k, width)}
     remainder1 = dict(tiles)
 
-    # Steps 2-3: carry the pyramid to the SW boundary.  A cell lands on the
-    # anti-diagonal transpose of its label pair, which swaps the two elbow
-    # kinds and keeps boxes.
-    for (r, c), kind in pyramid.items():
-        target = (c, r - m)
-        if target in tiles:
-            raise StructureViolation(f"pyramid cell {(r, c)} lands on occupied {target}")
-        tiles[target] = {JELBOW: FELBOW, FELBOW: JELBOW}.get(kind, kind)
+    # Steps 2-3: carry the pyramid to the SW boundary.
+    _carry(tiles, pyramid, "pyramid", m)
     reattached = dict(tiles)
 
     # Step 4: split off the NE triangle of boxes.
@@ -395,11 +401,7 @@ def chevron_stages(p: PipeDream) -> dict:
     remainder4 = dict(tiles)
 
     # Step 5: the same carry for the triangle.
-    for (r, c), kind in triangle.items():
-        target = (c, r - m)
-        if target in tiles:
-            raise StructureViolation(f"triangle cell {(r, c)} lands on occupied {target}")
-        tiles[target] = kind
+    _carry(tiles, triangle, "triangle", m)
 
     return {
         "pruned_remainder": remainder1,
@@ -463,12 +465,8 @@ def is_reflection_symmetric(p: PipeDream) -> bool:
     if p.shape != CHEVRON:
         raise ShapeMismatch(f"the reflection axis is a chevron feature, got {p.shape}")
     half = p.m // 2
-    swap = {JELBOW: FELBOW, FELBOW: JELBOW}
-    for (r, c), kind in p.tiles.items():
-        mirrored = p.tiles.get((c + half, r - half))
-        if mirrored != swap.get(kind, kind):
-            return False
-    return True
+    return all(p.tiles.get((c + half, r - half)) == _MIRRORED.get(kind, kind)
+               for (r, c), kind in p.tiles.items())
 
 
 def edges_from_pipedream(p: PipeDream) -> PolygonTriangulation:

@@ -281,22 +281,20 @@ class CrossingUniverse:
         group indices.
 
         A depth-first search decides the groups in index order, including
-        and then excluding each, and keeps the masks of the chosen members
-        and of the still possible ones (chosen, or undecided and not yet
-        blocked).
-        - Including a group is cut when it is `blocked` by the chosen
-          members.  That finds every new crossing: the chosen union is
-          crossing-free and, like each group, invariant under the symmetry
-          forming the groups (rotation on the polygon, translation on the
-          cover), so a new crossing can be moved onto the representative.
+        and then excluding each, and keeps the chosen members and
+        `possible`: those plus every undecided group they do not block.
         - Forward checking (Haralick-Elliott, "Increasing tree search
-          efficiency for constraint satisfaction problems", AIJ 1980): after
-          including group i, each later group whose representative a member
-          of i crosses is tested with the same `blocked` test.  The chosen
-          members only grow down a branch, so a blocked group stays blocked:
-          its members leave the possible mask and its include test is
-          skipped.  No leaf below can hold them, so every cut that reads the
-          possible mask stays sound, with or without `size`.
+          efficiency for constraint satisfaction problems", AIJ 1980) is the
+          one blocked test: `possible` starts from the groups their own members
+          do not block, and including group g tests each later group whose
+          representative a member of g crosses, as a k-clique g adds through a
+          representative holds one.  The chosen union is crossing-free and,
+          like each group, invariant under the symmetry forming the groups
+          (rotation on the polygon, translation on the cover), so a new
+          crossing can be moved onto a representative: a group in `possible` is
+          included with no test.  Chosen members only grow down a branch, so a
+          group outside `possible` stays blocked and is only excluded, and
+          every cut reading `possible` is sound, with or without `size`.
         - Excluding a group is cut when the still possible members cannot
           block it in the leaf test, since no leaf below is then maximal.
         - At a leaf every absent group must be blocked by a k-clique of
@@ -321,7 +319,7 @@ class CrossingUniverse:
           below g's least member they agree, and the later, being maximal
           and so no subset of the earlier, has a member above it.  The cuts
           only drop subtrees without a result, so the order stays.
-        Every node calls `has_clique` through this module's global.
+        Every `has_clique` call goes through this module's global.
         """
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
         own = members if self.own_blocks else [0] * len(members)
@@ -341,8 +339,7 @@ class CrossingUniverse:
                 found.append(picked)
                 return
             group = members[i]
-            # An undecided group outside `possible` was found blocked.
-            if possible & group and not has_clique(adj, k, within=rows[i] & (lift | group)):
+            if possible & group:
                 grown, alive = lift | group, possible
                 for j in hits[i]:
                     if alive & members[j] and has_clique(
@@ -350,12 +347,13 @@ class CrossingUniverse:
                         alive &= ~members[j]
                 if alive.bit_count() >= floor:
                     rec(i + 1, picked | 1 << i, grown, alive)
-            possible &= ~group
-            if possible.bit_count() >= floor and has_clique(
-                    adj, k, within=rows[i] & (possible | own[i])):
-                rec(i + 1, picked, lift, possible)
+                possible &= ~group
+                if possible.bit_count() < floor or not has_clique(
+                        adj, k, within=rows[i] & (possible | own[i])):
+                    return
+            rec(i + 1, picked, lift, possible)
 
-        rec(0, 0, 0, self.lift(range(count)))
+        rec(0, 0, 0, self.lift(i for i in range(count) if not self.blocked(i, 0)))
         return found
 
 

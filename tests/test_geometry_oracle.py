@@ -15,6 +15,7 @@ the same exception type with the same message.
 from __future__ import annotations
 
 import hashlib
+import time
 
 import pytest
 
@@ -330,6 +331,33 @@ def test_phi_rejects_a_class_of_another_period():
     u = CylinderTriangulation(t.surface, t.classes[:-1] + (EdgeClass(Edge(0, 2), 3),))
     with pytest.raises(StructureViolation, match="has period 3, surface has 2"):
         phi(u)
+
+
+def test_phi_counts_a_short_class_list_without_the_tables(tmp_path, capsys):
+    """Each class wraps onto k or 2k edges, so a class list of the wrong
+    length is refused by count before the O((kn)^2) tables are built, with
+    the message the tables would give."""
+    t = enumerate_cylinder(cylinder(3, 2))[5]
+    for j in range(len(t.classes) + 1):
+        u = CylinderTriangulation(t.surface, t.classes[:j])
+        got, want = outcome(phi, u), outcome(oracle_phi, u)
+        assert got == want if want[0] == "raised" else got[0] == "ok"
+    caches = (bijection._wrap_table, bijection._polygon_edges)
+    before = [cache.cache_info() for cache in caches]
+    huge = CylinderTriangulation(cylinder(10**6, 2), (EdgeClass(Edge(0, 1), 10**6),))
+    with pytest.raises(StructureViolation) as info:
+        phi(huge)
+    assert str(info.value) == (
+        f"image has 4 edges, a k-triangulation of the 4000000-gon has "
+        f"{expected_edge_count(4 * 10**6, 2)}")
+    assert [cache.cache_info() for cache in caches] == before
+    path = tmp_path / "c200.json"
+    path.write_text('{"surface":"cylinder","n":200,"k":2,"edges":[[0,1]]}')
+    start = time.perf_counter()
+    assert main(["pipedream", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "image has 4 edges, a k-triangulation of the 800-gon has 3190" in (
+        capsys.readouterr().err)
 
 
 def test_periodic_check_matches_the_oracle(worked_12gon):

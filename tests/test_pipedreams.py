@@ -18,6 +18,7 @@ from multitri import (
     MalformedShape,
     PipeDream,
     STAIRCASE,
+    StructureViolation,
     boundary_ports,
     cell_edge,
     chevron_from_staircase,
@@ -129,6 +130,18 @@ def test_chevron_rejects_wrong_shapes(worked_chevron, fan_5gon):
     odd = staircase_from_triangulation(fan_5gon)
     with pytest.raises(ShapeMismatch):
         chevron_stages(odd)  # odd m has no half-turn
+
+
+@pytest.mark.parametrize("piece", ["pyramid", "triangle"])
+def test_chevron_carry_refuses_an_occupied_target(worked_staircase, piece):
+    """A tile already on the SW boundary where the first cell of the
+    pyramid or of the triangle lands stops the rebuild, naming both."""
+    (r, c), *_ = chevron_stages(worked_staircase)[piece]
+    target = (c, r - 12)
+    blocked = PipeDream(STAIRCASE, dict(worked_staircase.tiles) | {target: CROSS}, 12, 2)
+    with pytest.raises(StructureViolation) as info:
+        chevron_stages(blocked)
+    assert str(info.value) == f"{piece} cell {(r, c)} lands on occupied {target}"
 
 
 def test_roundtrip_staircase(worked_12gon, worked_staircase):
