@@ -96,24 +96,23 @@ def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
 
     The class list passes `_check_classes` first: a repeated class, one of
     another period or one longer than kn has no image.  The image is
-    checked to have the edge count of a k-triangulation and no k+1
-    pairwise crossing edges among its long ones."""
+    checked to have the edge count of a k-triangulation, from the orbit
+    sizes before any table is built, and no k+1 pairwise crossing edges
+    among its long ones."""
     n, k = t.surface.n, t.surface.k
     _check_classes(t.classes, n, k)
     m = 2 * k * n
+    # Distinct classes wrap onto disjoint orbits of 2k edges (k if spanning),
+    # so the image's edge count is known before the tables are built.
+    count = k * (2 * len(t.classes) - [c.length for c in t.classes].count(k * n))
     wanted = expected_edge_count(m, k)
-    if k * len(t.classes) <= wanted <= 2 * k * len(t.classes):
-        orbits, longs = _wrap_table(n, k)
-        image = 0
-        for c in t.classes:
-            image |= orbits[c.rep.a, c.rep.b]
-        count = image.bit_count()
-    else:
-        # Each class wraps onto k or 2k edges, so the count is off without the tables.
-        count = sum(k if c.is_spanning(k) else 2 * k for c in t.classes)
     if count != wanted:
         raise StructureViolation(
             f"image has {count} edges, a k-triangulation of the {m}-gon has {wanted}")
+    orbits, longs = _wrap_table(n, k)
+    image = 0
+    for c in t.classes:
+        image |= orbits[c.rep.a, c.rep.b]
     edges, ends = _polygon_edges(m)
     if _has_crossing([ends[p] for p in bits(image & longs)], k):
         raise StructureViolation(f"image contains a {k + 1}-crossing")
