@@ -165,8 +165,8 @@ def find_angles(t: CylinderTriangulation) -> list[Angle]:
 
 
 def star_of_angle(t: CylinderTriangulation, angle: Angle) -> KStar:
-    """The star of the lift having this angle: the one translate of a star of
-    `stars_of` with the angle at its apex.
+    """The star of the lift having this angle: among the stars through its
+    side [u, v], the one with the angle at its apex.
 
     At k=2 the lift of a triangulation decomposes into stars, so every
     relevant angle lies in exactly one.  Raises StructureViolation where
@@ -178,7 +178,11 @@ def star_of_angle(t: CylinderTriangulation, angle: Angle) -> KStar:
     if not angle.relevant:
         raise LengthPrecondition(
             f"angle {angle} has no side of length strictly between {k} and {k * n}")
-    found = _stars_with_angle(stars_of(t), angle, n)
+    if not is_periodic_crossing_free(t.classes, k, n):
+        raise StructureViolation(f"lift contains a {k + 1}-crossing")
+    side = angle.sides()[0]
+    orbits = {canonical_star(star, n) for star in _cover_stars_through(t.classes, n, k, side)}
+    found = _stars_with_angle(orbits, angle, n)
     if len(found) != 1:
         raise StructureViolation(f"angle {angle} lies in {len(found)} stars, expected 1")
     return found[0]
@@ -234,8 +238,9 @@ def _cover_offsets(classes, n: int) -> list[list[int]]:
     for c in classes:
         if c.n != n:
             raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
-        offsets[c.rep.a].append(c.length)
-        offsets[c.rep.b % n].append(-c.length)
+        a, b = c.rep.a, c.rep.b
+        offsets[a].append(b - a)
+        offsets[b % n].append(a - b)
     for around in offsets:
         around.sort()
     return offsets
@@ -252,6 +257,21 @@ def _cover_stars(t: CylinderTriangulation) -> list[KStar]:
     reach = n + 2 * max((d for around in offsets for d in around), default=0)
     neighbours = [[v + d for d in offsets[v % n]] for v in range(reach)]
     return _contained_stars(neighbours, range(n), k)
+
+
+def _cover_stars_through(classes, n: int, k: int, edge: Edge) -> list[KStar]:
+    """Every k-star of the cover with `edge` among its edges and all of them
+    in the lift of `classes`, in absolute coordinates, ordered by sorted
+    vertices.  The search of `_contained_stars` bounded to that edge [a, b],
+    over the anchors from a - L to a for the longest class length L.  No
+    guard."""
+    offsets = _cover_offsets(classes, n)
+    longest = max((around[-1] for around in offsets if around), default=0)
+    a, b = edge.a, edge.b
+    # A star anchored there has its top vertex z_2k two edges above z_0 <= a.
+    neighbours = {v: [v + d for d in offsets[v % n]]
+                  for v in range(a - longest, a + 2 * longest + 1)}
+    return _contained_stars(neighbours, range(a - longest, a + 1), k, (a, b))
 
 
 def check_maximal_lifting(t: CylinderTriangulation) -> dict:

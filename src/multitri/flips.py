@@ -2,9 +2,14 @@
 
 Removing a relevant class from a maximal periodic family leaves room for
 exactly one other class, found here by two independent routes that must
-agree: the common bisector of the two stars of the lift holding the
-class representative, and the unique crossing of the two pipes that bump
-at a representative tile of the chevron of the periodic polygon image.
+agree.  On the lift, the class representative lies in exactly two stars
+and the new class is their one common bisector, the weak-pseudomanifold
+step on the complex; only the stars through that representative are
+searched.  In the chevron of the periodic polygon image, the two pipes
+that bump at a representative tile cross at exactly one tile, which
+carries the new class: a flip exchanges the contact of two pseudolines
+for their crossing (Pilaud-Pocchiola; Stump).  Only those two pipes are
+followed.
 """
 
 from __future__ import annotations
@@ -16,63 +21,98 @@ from .bijection import PeriodicPolygonTriangulation, class_of_polygon_edge, orbi
 from .cylinder import (
     CylinderTriangulation,
     _check_budget,
-    _cover_stars,
+    _cover_stars_through,
     enumerate_cylinder,
     stars_of,
 )
-from .errors import LengthPrecondition, NotInTriangulation, NotRelevant, StructureViolation
+from .errors import (
+    LengthPrecondition,
+    MalformedShape,
+    NotInTriangulation,
+    NotRelevant,
+    StructureViolation,
+)
 from .pipedreams import (
+    _SIDES,
+    _SOUTH,
+    _TURNS,
+    _WEST,
+    BUMP,
+    CROSS,
     _geometry,
     cell_edge,
     chevron_from_staircase,
     staircase_from_triangulation,
-    trace_pipes,
 )
 from .polygon import _bisectors, _sole_bisector, make_star
 from .surfaces import EdgeClass, cylinder, edge_class_of, is_periodic_crossing_free
 
 
-def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass) -> EdgeClass:
-    """Flip on the cover: the sole bisector, of a class absent from t, of the
-    two stars of the lift holding e's representative, wrapped onto the
-    2kn-gon.  A spanning class lies in one star orbit; its second holder is
-    that star moved by kn, which wraps onto the same diameter.  No guard:
-    `orbit_flip` has checked t's lift."""
+def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass,
+                    present: frozenset[EdgeClass]) -> EdgeClass:
+    """Flip on the cover: the sole bisector, of a class absent from t (whose
+    classes are `present`), of the two stars of the lift holding e's
+    representative, wrapped onto the 2kn-gon.  The holders come from the
+    star search bounded to that edge.  For a spanning class it finds one;
+    the second holder is that star moved by kn, which wraps onto the same
+    diameter.  No guard: `orbit_flip` has checked t's lift."""
     n, k = t.surface.n, t.surface.k
-    holders = [[v + e.rep.a - f.a for v in star.vertices]
-               for star in _cover_stars(t) for f in star.edges if edge_class_of(f, n) == e]
+    holders = [star.vertices for star in _cover_stars_through(t.classes, n, k, e.rep)]
     if e.is_spanning(k):
         holders += [[v + k * n for v in star] for star in holders]
     if len(holders) != 2:
         raise StructureViolation(f"relevant class {e} lies in {len(holders)} stars, expected 2")
     r, s = (make_star(tuple(sorted(v % (2 * k * n) for v in star))) for star in holders)
     found = {class_of_polygon_edge(f, n, k) for f in _bisectors(r, s)}
-    return _sole_bisector(found - t.class_set())
+    return _sole_bisector(found - present)
 
 
 def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClass:
-    """Flip through the chevron: the pipes bumping at a representative cross once."""
+    """Flip through the chevron: the two pipes that bump at the first tile
+    carrying a representative of e cross at exactly one cross tile, which
+    carries the new class.  Only those two pipes are followed, each from
+    the tile out of both sides of its strand to the boundary."""
     n, k = p.period, p.inner.surface.k
     m = 2 * k * n
     dream = chevron_from_staircase(staircase_from_triangulation(p.inner))
     orbit = {(f.a, f.b) for f in orbit_of_class(e, k)}
     geometry = _geometry(dream)
-    cells = sorted(cell for cell, end in zip(geometry.cells, geometry.ends) if end in orbit)
-    if not cells:
+    cells = geometry.cells
+    tiles = [i for i, end in enumerate(geometry.ends) if end in orbit]
+    if not tiles:
         raise StructureViolation(f"no chevron tile carries a representative of {e}")
-    r, c = cells[0]
-    trace = trace_pipes(dream)
-    # Pipes leave every tile to the north or the east.
-    through = {out: i for i, path in enumerate(trace.paths)
-               for (pr, pc, out) in path.visited if (pr, pc) == (r, c)}
-    pair = tuple(sorted(through.values()))
-    if len(pair) != 2 or pair[0] == pair[1]:
-        raise StructureViolation(f"tile {(r, c)} is not a bump of two distinct pipes")
-    crossing_cells = trace.crossings.get(pair, ())
-    if len(crossing_cells) != 1:
+    tile = min(tiles, key=cells.__getitem__)
+    kinds = list(dream.tiles.values())
+    if kinds[tile] != BUMP:
+        raise StructureViolation(f"tile {cells[tile]} carrying {e} is a {kinds[tile]}, not a bump")
+    # A bump joins its west side to its north and its south side to its east.
+    first, second = (_crossed_by_pipe(geometry, kinds, tile, (side, _TURNS[BUMP][side]))
+                     for side in (_WEST, _SOUTH))
+    crossings = first & second
+    if len(crossings) != 1:
         raise StructureViolation(
-            f"pipes {pair} cross {len(crossing_cells)} times, expected once")
-    return class_of_polygon_edge(cell_edge(*crossing_cells[0], m), n, k)
+            f"the pipes bumping at {cells[tile]} cross {len(crossings)} times, expected once")
+    return class_of_polygon_edge(cell_edge(*cells[crossings.pop()], m), n, k)
+
+
+def _crossed_by_pipe(geometry, kinds: list[str], tile: int, sides: tuple[int, int]) -> set[int]:
+    """The cross tiles of the pipe holding the strand that joins `sides` of
+    `tile`, followed out of each of those sides to the boundary.  A strand
+    entering a tile from a side that its kind does not connect raises
+    MalformedShape."""
+    neighbors, crossed = geometry.neighbors, set()
+    for out in sides:
+        i = tile
+        while (i := neighbors[out][i]) >= 0:
+            entry = (out + 2) % 4
+            out = _TURNS[kinds[i]][entry]
+            if out is None:
+                raise MalformedShape(
+                    f"a pipe enters {geometry.cells[i]} from {_SIDES[entry]}, a side the "
+                    f"{kinds[i]} tile does not connect")
+            if kinds[i] == CROSS:
+                crossed.add(i)
+    return crossed
 
 
 def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangulation, EdgeClass]:
@@ -86,7 +126,8 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
     k = t.surface.k
     if k != 2:
         raise LengthPrecondition(f"orbit flips are defined for k=2, got k={k}")
-    if e not in t.class_set():
+    present = t.class_set()
+    if e not in present:
         raise NotInTriangulation(f"{e} is not a class of this triangulation")
     if not e.is_relevant(k):
         raise NotRelevant(f"{e} has length {e.length} <= k={k}, not flippable")
@@ -97,13 +138,13 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
     # a_0 < ... < a_k < b_0 < ... < b_k, so their endpoints span
     # b_k - a_0 < (b_k - a_k) + (b_0 - a_0) <= 2kn and wrap onto a
     # (k+1)-crossing of the 2kn-gon.
-    f_stars = _flip_via_stars(t, e)
+    f_stars = _flip_via_stars(t, e, present)
     f_chevron = _flip_via_chevron(p, e)
     if f_stars != f_chevron:
         raise StructureViolation(
             f"flip backends disagree on {e}: stars give {f_stars}, "
             f"chevron gives {f_chevron}")
-    classes = tuple(sorted(set(t.classes) - {e} | {f_stars}))
+    classes = tuple(sorted(present - {e} | {f_stars}))
     if not is_periodic_crossing_free(classes, k, t.surface.n):
         raise StructureViolation(f"flip of {e} to {f_stars} created a crossing")
     return CylinderTriangulation(t.surface, classes), f_stars

@@ -20,7 +20,6 @@ from .surfaces import (
     Edge,
     SurfaceDesc,
     cyclic_length,
-    cyclically_ordered,
     has_k_plus_1_crossing,
     sorted_unions,
 )
@@ -188,20 +187,25 @@ def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
     n, k = t.surface.n, t.surface.k
     edges = _checked_edge_set(t)
     _check_edge_count(edges, n, k)
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        neighbours[e.a].append(e.b)
-        neighbours[e.b].append(e.a)
-    for around in neighbours:
-        around.sort()
-    stars = _contained_stars(neighbours, range(n), k)
+    stars = _contained_stars(_neighbour_lists(edges, n), range(n), k)
     expected = max(n - 2 * k, 0)
     if len(stars) != expected:
         raise StructureViolation(f"found {len(stars)} stars, expected {expected}")
     return stars
 
 
-def _contained_stars(neighbours, anchors, k: int) -> list[KStar]:
+def _neighbour_lists(edges, n: int) -> list[list[int]]:
+    """The neighbours of each vertex of the n-gon in `edges`, in increasing order."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        neighbours[e.a].append(e.b)
+        neighbours[e.b].append(e.a)
+    for around in neighbours:
+        around.sort()
+    return neighbours
+
+
+def _contained_stars(neighbours, anchors, k: int, through=None) -> list[KStar]:
     """Every k-star z_0 < ... < z_2k with z_0 in `anchors` and all 2k+1
     edges in the graph, ordered by sorted vertices.
 
@@ -211,6 +215,17 @@ def _contained_stars(neighbours, anchors, k: int) -> list[KStar]:
     lies strictly between the placed vertices of the ranks next to its own:
     above s_0 = z_0 for odd j and above s_1 = z_k for even j, and for
     j >= 3 below s_{j-2}, whose rank is one more.
+
+    With `through` = (a, b), a < b, only the stars having [a, b] as an edge
+    are kept, and the search is bounded by where such a star can lie.  Every
+    edge of a k-star joins the sorted ranks i and i+k, or i and i+k+1, with
+    i <= k; so [a, b] is an edge iff a = z_i and b = z_{i+k} or z_{i+k+1}.
+    Then z_0 <= a, a <= z_k <= b and z_2k >= b, and the search skips the
+    anchors above a, places s_1 = z_k in [a, b] and s_2 = z_2k at b or
+    above.  A star outside these bounds lacks [a, b], so dropping it loses
+    nothing.  Since z_0 z_k is an edge, also z_0 >= a - L for the longest
+    edge L: anchors from there up to a suffice on an unbounded vertex set.
+    `anchors` is then a sorted sequence, cut at a by bisection.
     """
     found = []
 
@@ -221,42 +236,59 @@ def _contained_stars(neighbours, anchors, k: int) -> list[KStar]:
                 found.append(tuple(sorted(s)))
             return
         around = neighbours[s[-1]]
-        start = bisect_right(around, s[1 - j % 2])
-        stop = bisect_left(around, s[j - 2], start) if j >= 3 else len(around)
+        if j >= 3:
+            start = bisect_right(around, s[1 - j % 2])
+            stop = bisect_left(around, s[j - 2], start)
+        elif through is None:
+            start, stop = bisect_right(around, s[1 - j % 2]), len(around)
+        else:
+            # s_1 in [a, b], s_2 >= b; both lie above s_{j-1} = s_0 or s_1,
+            # since no vertex neighbours itself.
+            start = bisect_left(around, through[j - 1])
+            stop = bisect_right(around, through[1]) if j == 1 else len(around)
         for x in around[start:stop]:
             s.append(x)
             place(s, closing)
             s.pop()
 
+    if through is not None:
+        anchors = anchors[:bisect_right(anchors, through[0])]
     for z0 in anchors:
         place([z0], set(neighbours[z0]))
+    if through is not None:
+        a, b = through
+        found = [z for z in found if a in z and b in z and z.index(b) - z.index(a) in (k, k + 1)]
     return [make_star(z) for z in sorted(found)]
 
 
-def _star_angle_at(star: KStar, v: int) -> tuple[int, int]:
-    """The star's angle at vertex v, as (u, w) with (u, v, w) cyclically ordered."""
-    j = star.vertices.index(v)
-    m = len(star.vertices)
-    p, q = star.vertices[j - 1], star.vertices[(j + 1) % m]
-    return (p, q) if cyclically_ordered(p, v, q) else (q, p)
+def _star_angles(star: KStar) -> list[tuple[int, int, int]]:
+    """(v, u, w) for each vertex v of the star, with (u, v, w) cyclically
+    ordered and u, w the star's neighbours of v: its angle at v."""
+    s = star.vertices
+    m = len(s)
+    angles = []
+    for j, v in enumerate(s):
+        p, q = s[j - 1], s[(j + 1) % m]
+        # Three distinct integers are cyclically ordered iff at most one
+        # of the three steps around them descends.
+        angles.append((v, p, q) if (p > v) + (v > q) + (q > p) <= 1 else (v, q, p))
+    return angles
 
 
 def _bisects(v: int, far: int, u: int, w: int) -> bool:
     # The edge [v, far] splits the angle (u, v, w) iff far sits in the arc
-    # that the angle opens onto.
-    return cyclically_ordered(far, u, v, w)
+    # that the angle opens onto: far, u, v, w distinct and cyclically
+    # ordered, with at most one descent going around them.
+    return far != u and far != w and (far > u) + (u > v) + (v > w) + (w > far) <= 1
 
 
 def _bisectors(r: KStar, s: KStar) -> set[Edge]:
     """Every edge splitting an angle of r and an angle of s."""
     found = set()
-    for x in r.vertices:
-        ux, wx = _star_angle_at(r, x)
-        for y in s.vertices:
-            if x == y:
-                continue
-            uy, wy = _star_angle_at(s, y)
-            if _bisects(x, y, ux, wx) and _bisects(y, x, uy, wy):
+    s_angles = _star_angles(s)
+    for x, ux, wx in _star_angles(r):
+        for y, uy, wy in s_angles:
+            if x != y and _bisects(x, y, ux, wx) and _bisects(y, x, uy, wy):
                 found.add(Edge(x, y))
     return found
 
@@ -277,8 +309,8 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
     """Exchange e for the unique other edge completing t minus e.
 
     The replacement is the common bisector of the two stars of t that
-    contain e, taken from `star_decomposition`; the flipped set is checked
-    for a (k+1)-crossing.
+    contain e, found by the contained-star search bounded to stars
+    through e; the flipped set is checked for a (k+1)-crossing.
     """
     n, k = t.surface.n, t.surface.k
     edges = t.edge_set()
@@ -286,7 +318,9 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
         raise NotInTriangulation(f"{e} not in the triangulation")
     if cyclic_length(e, n) <= k:
         raise NotRelevant(f"{e} has cyclic length {cyclic_length(e, n)} <= k = {k}")
-    holders = [s for s in star_decomposition(t) if e in s.edge_set()]
+    edges = _checked_edge_set(t)
+    _check_edge_count(edges, n, k)
+    holders = _contained_stars(_neighbour_lists(edges, n), range(n), k, (e.a, e.b))
     if len(holders) != 2:
         raise StructureViolation(
             f"relevant edge {e} lies in {len(holders)} stars, expected 2")

@@ -1,12 +1,14 @@
 """The stars backend of `orbit_flip` on the cover against the polygon route.
 
 `oracle_flip_via_polygon` is the route the stars backend replaced: wrap t
-onto the 2kn-gon with `phi`, flip the class representative there with
-`polygon_flip` (which searches every star of the image) and unwrap the
-new edge.  `_flip_via_stars` reads the two holder stars from
-`_cover_stars(t)` and must name the same class on every relevant-class flip.  The flipped
-family is no longer rebuilt through `phi`; the tests below show that the
-two backends still catch each other out.
+onto the 2kn-gon with `phi`, flip the class representative there through
+every star of the image (`star_decomposition`, as `polygon_flip` once did)
+and unwrap the new edge.  `_flip_via_stars` reads the two holder stars from
+the star search bounded to e's representative and must name the same
+class on every relevant-class flip.  The flipped family is no longer
+rebuilt through `phi`; the tests below show that the two backends still
+catch each other out, and that `orbit_flip` follows two pipes and runs no
+unbounded star search.
 """
 
 from __future__ import annotations
@@ -25,24 +27,41 @@ from multitri import (
     enumerate_cylinder,
     flip_graph_json,
     orbit_flip,
+    orbit_of_class,
     phi,
-    polygon_flip,
     relevant_class_candidates,
+    trace_pipes,
 )
 from multitri import flips
 from multitri.errors import StructureViolation
+from multitri.pipedreams import BUMP, CROSS, PipeDream, _geometry
+
+from test_flip_backend_oracle import oracle_bisectors
 
 # sha256 of json.dumps(flip_graph_json(build_flip_graph(4)), sort_keys=True),
 # frozen from the polygon route.
 FLIP_GRAPH_4_SHA256 = "adad7f8401fa9daede109056b4df25418d48c40530aec0f606720c281d894c06"
 
-# The package name `polygon` is the surface constructor, not the module.
+# The package names `polygon` and `cylinder` are the surface constructors,
+# not the modules.
 polygon_module = importlib.import_module("multitri.polygon")
+cylinder_module = importlib.import_module("multitri.cylinder")
+pipedreams_module = importlib.import_module("multitri.pipedreams")
+
+
+def oracle_polygon_flip(t, e):
+    """The replacement edge of e in the polygon triangulation t: the one
+    absent common bisector of the two stars of t holding e."""
+    holders = [s for s in polygon_module.star_decomposition(t) if e in s.edge_set()]
+    if len(holders) != 2:
+        raise StructureViolation(f"relevant edge {e} lies in {len(holders)} stars, expected 2")
+    (f,) = oracle_bisectors(*holders) - t.edge_set()
+    return f
 
 
 def oracle_flip_via_polygon(t, e):
     rep = Edge(e.rep.a, e.rep.b)
-    return class_of_polygon_edge(polygon_flip(phi(t).inner, rep)[1], t.surface.n, 2)
+    return class_of_polygon_edge(oracle_polygon_flip(phi(t).inner, rep), t.surface.n, 2)
 
 
 @pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 7)])
@@ -50,7 +69,8 @@ def test_stars_backend_matches_polygon_route(n, step, cylinder_k2_triangulations
     flipped = 0
     for t in cylinder_k2_triangulations[n][::step]:
         for e in t.relevant_classes():
-            assert flips._flip_via_stars(t, e) == oracle_flip_via_polygon(t, e), (t, e)
+            want = oracle_flip_via_polygon(t, e)
+            assert flips._flip_via_stars(t, e, t.class_set()) == want, (t, e)
             flipped += 1
     assert flipped == {1: 0, 2: 8, 3: 144, 4: 2400, 5: 5600}[n]
 
@@ -80,6 +100,70 @@ def test_orbit_flip_stays_on_the_cover(monkeypatch):
             orbit_flip(t, e)
             count += 1
     assert calls["phi"] == count == 144
+
+
+def test_orbit_flip_traces_two_pipes_and_searches_through_e(monkeypatch):
+    """No full pipe trace and no unbounded cover star search per flip."""
+
+    def forbidden(*args):
+        raise AssertionError("orbit_flip reached a full search")
+
+    monkeypatch.setattr(pipedreams_module, "trace_pipes", forbidden)
+    monkeypatch.setattr(cylinder_module, "_cover_stars", forbidden)
+    count = 0
+    for t in enumerate_cylinder(cylinder(3, 2)):
+        for e in t.relevant_classes():
+            assert orbit_flip(t, e)[1] == oracle_flip_via_polygon(t, e)
+            count += 1
+    assert count == 144
+
+
+def _with_tile(dream, cell, kind):
+    return PipeDream(dream.shape, {**dream.tiles, cell: kind}, dream.m, dream.k)
+
+
+def _representative_tile(p, e):
+    dream = flips.chevron_from_staircase(flips.staircase_from_triangulation(p.inner))
+    orbit = {(f.a, f.b) for f in orbit_of_class(e, 2)}
+    geometry = _geometry(dream)
+    return dream, min(cell for cell, end in zip(geometry.cells, geometry.ends) if end in orbit)
+
+
+def test_chevron_backend_rejects_a_crossed_representative_tile(monkeypatch, t_left):
+    p = phi(t_left)
+    for e in t_left.relevant_classes():
+        dream, cell = _representative_tile(p, e)
+        assert dream.tiles[cell] == BUMP
+        monkeypatch.setattr(flips, "chevron_from_staircase",
+                            lambda _, bad=_with_tile(dream, cell, CROSS): bad)
+        with pytest.raises(StructureViolation, match="not a bump"):
+            flips._flip_via_chevron(p, e)
+        monkeypatch.undo()
+
+
+def test_chevron_backend_rejects_pipes_crossing_twice(monkeypatch, t_left):
+    """Turning a bump into a cross tile elsewhere in the chevron makes the
+    two pipes of a representative tile cross twice in 5 cases, counted by
+    `trace_pipes` on the altered chevron."""
+    p = phi(t_left)
+    twice = 0
+    for e in t_left.relevant_classes():
+        dream, cell = _representative_tile(p, e)
+        for other, kind in dream.tiles.items():
+            if other == cell or kind != BUMP:
+                continue
+            bad = _with_tile(dream, other, CROSS)
+            trace = trace_pipes(bad)
+            pair = tuple(sorted(i for i, path in enumerate(trace.paths)
+                                if any((r, c) == cell for r, c, _ in path.visited)))
+            if len(trace.crossings.get(pair, ())) != 2:
+                continue
+            monkeypatch.setattr(flips, "chevron_from_staircase", lambda _, bad=bad: bad)
+            with pytest.raises(StructureViolation, match="cross 2 times, expected once"):
+                flips._flip_via_chevron(p, e)
+            monkeypatch.undo()
+            twice += 1
+    assert twice == 5
 
 
 @pytest.mark.parametrize("backend", ["_flip_via_stars", "_flip_via_chevron"])

@@ -23,6 +23,7 @@ from multitri import (
     enumerate_polygon,
     enumerate_shift_invariant,
     expected_edge_count,
+    has_k_plus_1_crossing,
     is_shift_invariant,
     make_star,
     polygon,
@@ -162,6 +163,29 @@ def test_polygon_flip_matches_bisector_among_all_absent_edges(n, k):
                 PolygonTriangulation(t.surface, tuple(sorted(edges - {e} | {f}))), f)
             flips += 1
     assert flips == POLYGON_COUNTS[n, k] * (expected_edge_count(n, k) - n * k)
+
+
+@pytest.mark.parametrize("n,k,step,probes", [(7, 2, 1, 112), (8, 2, 4, 630)])
+def test_polygon_flip_rejects_a_crossing_edge_set(n, k, step, probes):
+    """Every swap of one relevant edge of every `step`-th triangulation for
+    one absent edge that leaves a (k+1)-crossing has the right edge count
+    and every short edge; flipping any of its relevant edges raises
+    StructureViolation, though the flip searches only the stars through
+    that edge and no longer counts the stars of the whole set."""
+    found = 0
+    for t in enumerate_polygon(polygon(n, k))[::step]:
+        edges = t.edge_set()
+        for g in t.relevant_edges():
+            for h in relevant_candidates(n, k):
+                swapped = tuple(sorted(edges - {g} | {h}))
+                if h in edges or not has_k_plus_1_crossing(swapped, k, t.surface):
+                    continue
+                probe = PolygonTriangulation(t.surface, swapped)
+                found += 1
+                for e in probe.relevant_edges():
+                    with pytest.raises(StructureViolation):
+                        polygon_flip(probe, e)
+    assert found == probes
 
 
 def test_common_bisector_needs_exactly_one_absent_candidate():
