@@ -68,26 +68,25 @@ class CountReport(NamedTuple):
 
 def orbit_of_class(c: EdgeClass, k: int) -> list[Edge]:
     """The polygon edges the class wraps onto, 2k of them (k if spanning)."""
-    return _rotation_orbit(c.rep.a, c.rep.b, c.n, 2 * k * c.n)
+    return _rotation_orbit(*c.rep, c.n, 2 * k * c.n)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _polygon_edges(m: int) -> tuple[list[Edge], list[tuple[int, int]]]:
-    """The edges of the m-gon in sorted order, as `Edge`s and as (a, b)."""
-    ends = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    return [Edge(a, b) for a, b in ends], ends
+def _polygon_edges(m: int) -> list[Edge]:
+    """The edges of the m-gon in sorted order, the p-th at position p of a mask."""
+    return [Edge(a, b) for a in range(m) for b in range(a + 1, m)]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _wrap_table(n: int, k: int) -> tuple[dict[tuple[int, int], int], int]:
+def _wrap_table(n: int, k: int) -> tuple[dict[Edge, int], int]:
     """The orbit mask of each class of C_n of length at most kn, keyed by
-    its representative's (a, b), and the mask of the 2kn-gon's edges of
-    cyclic length above k."""
+    its representative, and the mask of the 2kn-gon's edges of cyclic
+    length above k."""
     m = 2 * k * n
-    orbits = {(a, b): sum(1 << (e.a * (2 * m - e.a - 1) // 2 + e.b - e.a - 1)
-                          for e in _rotation_orbit(a, b, n, m))
+    orbits = {Edge(a, b): sum(1 << (c * (2 * m - c - 1) // 2 + d - c - 1)
+                              for c, d in _rotation_orbit(a, b, n, m))
               for a in range(n) for b in range(a + 1, a + k * n + 1)}
-    longs = sum(1 << p for p, e in enumerate(_polygon_edges(m)[0]) if cyclic_length(e, m) > k)
+    longs = sum(1 << p for p, e in enumerate(_polygon_edges(m)) if cyclic_length(e, m) > k)
     return orbits, longs
 
 
@@ -112,9 +111,9 @@ def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
     orbits, longs = _wrap_table(n, k)
     image = 0
     for c in t.classes:
-        image |= orbits[c.rep.a, c.rep.b]
-    edges, ends = _polygon_edges(m)
-    if _has_crossing([ends[p] for p in bits(image & longs)], k):
+        image |= orbits[c.rep]
+    edges = _polygon_edges(m)
+    if _has_crossing([edges[p] for p in bits(image & longs)], k):
         raise StructureViolation(f"image contains a {k + 1}-crossing")
     inner = PolygonTriangulation(polygon(m, k), tuple(edges[p] for p in bits(image)))
     return PeriodicPolygonTriangulation(inner, n)
@@ -127,11 +126,10 @@ def class_of_polygon_edge(e: Edge, n: int, k: int) -> EdgeClass:
     longer one unrolls the other way around.  At exactly kn both ways give
     the same class.
     """
-    m = 2 * k * n
-    d = e.b - e.a
-    if d <= k * n:
-        return edge_class_of(Edge(e.a, e.b), n)
-    return edge_class_of(Edge(e.b, e.a + m), n)
+    a, b = e
+    if b - a <= k * n:
+        return edge_class_of(e, n)
+    return edge_class_of(Edge(b, a + 2 * k * n), n)
 
 
 def phi_inverse(p: PeriodicPolygonTriangulation) -> CylinderTriangulation:

@@ -7,10 +7,11 @@ weak-pseudomanifold property only need facets and ridges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cylinder import enumerate_cylinder
-from .surfaces import EdgeClass, cylinder
+from .surfaces import cylinder
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,8 @@ def analyze_complex(n: int, k: int) -> ComplexReport:
     facets = [frozenset(t.relevant_classes()) for t in triangulations]
     cardinalities = {len(f) for f in facets}
     is_pure = len(cardinalities) <= 1
-    ridge_parents: dict[frozenset[EdgeClass], int] = {}
-    for facet in facets:
-        for v in facet:
-            ridge = facet - {v}
-            ridge_parents[ridge] = ridge_parents.get(ridge, 0) + 1
-    histogram: dict[int, int] = {}
-    for count in ridge_parents.values():
-        histogram[count] = histogram.get(count, 0) + 1
+    ridge_parents = Counter(facet - {v} for facet in facets for v in facet)
+    histogram = dict(Counter(ridge_parents.values()))
     return ComplexReport(
         n=n,
         k=k,

@@ -25,7 +25,7 @@ from .surfaces import EdgeClass, bits, cylinder, lift_universe, polygon
 
 
 def _class_list(classes) -> list:
-    return [[c.rep.a, c.rep.b] for c in sorted(classes)]
+    return [list(c.rep) for c in sorted(classes)]
 
 
 def minimize_witness(items: list, still_fails) -> list:
@@ -241,9 +241,9 @@ def _translation_report(n: int, k: int, triangulations) -> dict:
                     minimal = minimize_witness(classes, still_fails)
                     failures.append({
                         "triangulation_index": idx,
-                        "added_class": [extra.rep.a, extra.rep.b],
-                        "doubled_class": [c.rep.a, c.rep.b],
-                        "crossing": [[e.a, e.b] for e in (e1, e2, third)],
+                        "added_class": list(extra.rep),
+                        "doubled_class": list(c.rep),
+                        "crossing": [list(e) for e in (e1, e2, third)],
                         "minimized_classes": _class_list(minimal),
                     })
     return {

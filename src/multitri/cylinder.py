@@ -236,9 +236,9 @@ def _cover_offsets(classes, n: int) -> list[list[int]]:
     StructureViolation on a class of another period."""
     offsets: list[list[int]] = [[] for _ in range(n)]
     for c in classes:
-        if c.n != n:
-            raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
-        a, b = c.rep.a, c.rep.b
+        (a, b), period = c
+        if period != n:
+            raise StructureViolation(f"class {c} has period {period}, surface has {n}")
         offsets[a].append(b - a)
         offsets[b % n].append(a - b)
     for around in offsets:
@@ -267,11 +267,11 @@ def _cover_stars_through(classes, n: int, k: int, edge: Edge) -> list[KStar]:
     guard."""
     offsets = _cover_offsets(classes, n)
     longest = max((around[-1] for around in offsets if around), default=0)
-    a, b = edge.a, edge.b
+    a = edge.a
     # A star anchored there has its top vertex z_2k two edges above z_0 <= a.
     neighbours = {v: [v + d for d in offsets[v % n]]
                   for v in range(a - longest, a + 2 * longest + 1)}
-    return _contained_stars(neighbours, range(a - longest, a + 1), k, (a, b))
+    return _contained_stars(neighbours, range(a - longest, a + 1), k, edge)
 
 
 def check_maximal_lifting(t: CylinderTriangulation) -> dict:

@@ -73,9 +73,8 @@ def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClas
     carries the new class.  Only those two pipes are followed, each from
     the tile out of both sides of its strand to the boundary."""
     n, k = p.period, p.inner.surface.k
-    m = 2 * k * n
     dream = chevron_from_staircase(staircase_from_triangulation(p.inner))
-    orbit = {(f.a, f.b) for f in orbit_of_class(e, k)}
+    orbit = set(orbit_of_class(e, k))
     geometry = _geometry(dream)
     cells = geometry.cells
     tiles = [i for i, end in enumerate(geometry.ends) if end in orbit]
@@ -92,7 +91,7 @@ def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClas
     if len(crossings) != 1:
         raise StructureViolation(
             f"the pipes bumping at {cells[tile]} cross {len(crossings)} times, expected once")
-    return class_of_polygon_edge(cell_edge(*cells[crossings.pop()], m), n, k)
+    return class_of_polygon_edge(cell_edge(*cells[crossings.pop()], 2 * k * n), n, k)
 
 
 def _crossed_by_pipe(geometry, kinds: list[str], tile: int, sides: tuple[int, int]) -> set[int]:
@@ -233,7 +232,7 @@ def find_multi_representative_stars(max_n: int) -> list[dict]:
                         "n": n,
                         "triangulation_index": idx,
                         "star_vertices": list(star.vertices),
-                        "repeated_classes": [[c.rep.a, c.rep.b] for c in repeated],
+                        "repeated_classes": [list(c.rep) for c in repeated],
                     })
     return witnesses
 
@@ -260,15 +259,15 @@ def flip_graph_json(g: FlipGraph) -> dict:
             edges.append({
                 "i": i,
                 "j": j,
-                "removed_i": [e.rep.a, e.rep.b],
-                "removed_j": [back.rep.a, back.rep.b],
+                "removed_i": list(e.rep),
+                "removed_j": list(back.rep),
             })
     return {
         "n": g.vertices[0].surface.n if g.vertices else None,
         "k": 2,
         "vertex_count": len(g.vertices),
         "vertices": [
-            [[c.rep.a, c.rep.b] for c in t.classes] for t in g.vertices
+            [list(c.rep) for c in t.classes] for t in g.vertices
         ],
         "edges": edges,
         "degrees": list(g.degrees),

@@ -42,7 +42,7 @@ def parse_triangulation(obj) -> PolygonTriangulation | CylinderTriangulation:
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ValueError("edges must be a list of [a, b] pairs")
-    pairs = []
+    edges = []
     for item in raw:
         if (
             not isinstance(item, list)
@@ -53,29 +53,28 @@ def parse_triangulation(obj) -> PolygonTriangulation | CylinderTriangulation:
         a, b = item
         if a >= b:
             raise ValueError(f"edge [{a}, {b}] must have a < b")
-        pairs.append((a, b))
-    if len(set(pairs)) != len(pairs):
+        edges.append(Edge(a, b))
+    if len(set(edges)) != len(edges):
         raise ValueError("duplicate edges")
     if kind == POLYGON:
-        for a, b in pairs:
+        for a, b in edges:
             if not (0 <= a and b < n):
                 raise ValueError(f"edge [{a}, {b}] outside vertex range 0..{n - 1}")
-        return PolygonTriangulation(
-            polygon(n, k), tuple(sorted(Edge(a, b) for a, b in pairs)))
-    for a, b in pairs:
+        return PolygonTriangulation(polygon(n, k), tuple(sorted(edges)))
+    for a, b in edges:
         if not (0 <= a < n and b <= a + k * n):
             raise ValueError(
                 f"[{a}, {b}] is not a canonical class representative "
                 f"(need 0 <= a < {n}, a < b <= a + {k * n})")
-    classes = tuple(sorted(EdgeClass(Edge(a, b), n) for a, b in pairs))
+    classes = tuple(sorted(EdgeClass(e, n) for e in edges))
     return CylinderTriangulation(cylinder(n, k), classes)
 
 
 def serialize_triangulation(t: PolygonTriangulation | CylinderTriangulation) -> dict:
     if isinstance(t, PolygonTriangulation):
-        edges = [[e.a, e.b] for e in sorted(t.edges)]
+        edges = [list(e) for e in sorted(t.edges)]
     else:
-        edges = [[c.rep.a, c.rep.b] for c in sorted(t.classes)]
+        edges = [list(c.rep) for c in sorted(t.classes)]
     return {
         "surface": t.surface.kind,
         "n": t.surface.n,

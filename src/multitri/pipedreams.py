@@ -252,7 +252,7 @@ def _geometry(p: PipeDream) -> _Geometry:
 def staircase_from_triangulation(t: PolygonTriangulation) -> PipeDream:
     """Fill the staircase for the m-gon from the edges of t."""
     m, k = t.surface.n, t.surface.k
-    edges = {(e.a, e.b) for e in t.edges}
+    edges = t.edge_set()
     geometry = _canonical_geometry(STAIRCASE, m, k)
     kinds = [BUMP if end in edges else CROSS for end in geometry.ends]
     for i in geometry.elbows:

@@ -118,7 +118,7 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
     edges.  Each result is merged with the short edges on integer ranks
     (`sorted_unions`)."""
     n, k = surface.n, surface.k
-    orbits = sorted({tuple(_rotation_orbit(e.a, e.b, abs(shift), n))
+    orbits = sorted({tuple(_rotation_orbit(*e, abs(shift), n))
                      for e in relevant_candidates(n, k)})
     universe = CrossingUniverse(k, orbits, own_blocks=False)
     shorts = short_edges(n, k)
@@ -197,9 +197,9 @@ def star_decomposition(t: PolygonTriangulation) -> list[KStar]:
 def _neighbour_lists(edges, n: int) -> list[list[int]]:
     """The neighbours of each vertex of the n-gon in `edges`, in increasing order."""
     neighbours: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        neighbours[e.a].append(e.b)
-        neighbours[e.b].append(e.a)
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
     for around in neighbours:
         around.sort()
     return neighbours
@@ -216,7 +216,7 @@ def _contained_stars(neighbours, anchors, k: int, through=None) -> list[KStar]:
     above s_0 = z_0 for odd j and above s_1 = z_k for even j, and for
     j >= 3 below s_{j-2}, whose rank is one more.
 
-    With `through` = (a, b), a < b, only the stars having [a, b] as an edge
+    With `through` the `Edge` [a, b], only the stars having it as an edge
     are kept, and the search is bounded by where such a star can lie.  Every
     edge of a k-star joins the sorted ranks i and i+k, or i and i+k+1, with
     i <= k; so [a, b] is an edge iff a = z_i and b = z_{i+k} or z_{i+k+1}.
@@ -313,14 +313,13 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
     through e; the flipped set is checked for a (k+1)-crossing.
     """
     n, k = t.surface.n, t.surface.k
-    edges = t.edge_set()
-    if e not in edges:
+    if e not in t:
         raise NotInTriangulation(f"{e} not in the triangulation")
     if cyclic_length(e, n) <= k:
         raise NotRelevant(f"{e} has cyclic length {cyclic_length(e, n)} <= k = {k}")
     edges = _checked_edge_set(t)
     _check_edge_count(edges, n, k)
-    holders = _contained_stars(_neighbour_lists(edges, n), range(n), k, (e.a, e.b))
+    holders = _contained_stars(_neighbour_lists(edges, n), range(n), k, e)
     if len(holders) != 2:
         raise StructureViolation(
             f"relevant edge {e} lies in {len(holders)} stars, expected 2")
@@ -338,10 +337,10 @@ def is_shift_invariant(t: PolygonTriangulation, shift: int) -> bool:
 def _unshifted(edges, shift: int, m: int) -> Edge | None:
     """The first of the m-gon's `edges` whose rotation by `shift` is not
     among them, or None."""
-    ends = {(e.a, e.b) for e in edges}
+    present = set(edges)
     for e in edges:
-        a, b = (e.a + shift) % m, (e.b + shift) % m
-        if ((a, b) if a < b else (b, a)) not in ends:
+        a, b = (e[0] + shift) % m, (e[1] + shift) % m
+        if ((a, b) if a < b else (b, a)) not in present:
             return e
     return None
 

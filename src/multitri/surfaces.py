@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import EdgeTooLong, StructureViolation
 
@@ -24,30 +25,31 @@ POLYGON = "polygon"
 CYLINDER = "cylinder"
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """An edge as an ordered vertex pair, normalized so that a < b."""
+class Edge(tuple):
+    """An edge as the vertex pair (a, b), normalized so that a < b: a tuple,
+    so it hashes, compares and sorts as that pair."""
 
-    a: int
-    b: int
+    __slots__ = ()
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"degenerate edge [{self.a},{self.b}]")
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+    def __new__(cls, a: int, b: int):
+        if a == b:
+            raise ValueError(f"degenerate edge [{a},{b}]")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def length(self) -> int:
-        return self.b - self.a
+        return self[1] - self[0]
 
     def shifted(self, d: int) -> "Edge":
-        return Edge(self.a + d, self.b + d)
+        return Edge(self[0] + d, self[1] + d)
 
     def __repr__(self):
-        return f"[{self.a},{self.b}]"
+        return f"[{self[0]},{self[1]}]"
 
 
 @dataclass(frozen=True)
@@ -75,47 +77,53 @@ def cylinder(n: int, k: int) -> SurfaceDesc:
     return SurfaceDesc(CYLINDER, n, k)
 
 
-@dataclass(frozen=True, order=True)
-class EdgeClass:
+class EdgeClass(tuple):
     """A translation orbit of cover edges, named by its canonical representative.
 
     The representative has left endpoint in [0, n); every member of the class
-    is rep shifted by a multiple of n.
+    is rep shifted by a multiple of n.  A tuple (rep, n), so it hashes,
+    compares and sorts as that pair.
     """
 
-    rep: Edge
-    n: int
+    __slots__ = ()
+    rep = property(itemgetter(0))
+    n = property(itemgetter(1))
 
-    def __post_init__(self):
-        if not 0 <= self.rep.a < self.n:
-            raise ValueError(f"representative {self.rep} not canonical for period {self.n}")
+    def __new__(cls, rep: Edge, n: int):
+        if not 0 <= rep[0] < n:
+            raise ValueError(f"representative {rep} not canonical for period {n}")
+        return tuple.__new__(cls, (rep, n))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def length(self) -> int:
-        return self.rep.length
+        (a, b), _ = self
+        return b - a
 
     def translate(self, t: int) -> Edge:
-        return self.rep.shifted(t * self.n)
+        return self[0].shifted(t * self[1])
 
     def is_relevant(self, k: int) -> bool:
-        return k < self.length <= k * self.n
+        return k < self.length <= k * self[1]
 
     def is_spanning(self, k: int) -> bool:
-        return self.length == k * self.n
+        return self.length == k * self[1]
 
     def __repr__(self):
-        return f"~{self.rep!r}"
+        return f"~{self[0]!r}"
 
 
 def edge_class_of(edge: Edge, n: int) -> EdgeClass:
     """The class containing a cover edge, with the representative canonicalized."""
-    shift = edge.a % n - edge.a
+    shift = edge[0] % n - edge[0]
     return EdgeClass(edge.shifted(shift), n)
 
 
 def cyclic_length(edge: Edge, n: int) -> int:
     """Length of a polygon edge in the cyclic metric."""
-    d = (edge.b - edge.a) % n
+    d = (edge[1] - edge[0]) % n
     return min(d, n - d)
 
 
@@ -138,7 +146,8 @@ def crosses(e: Edge, f: Edge, surface: SurfaceDesc) -> bool:
 
 
 def cover_crosses(e: Edge, f: Edge) -> bool:
-    return e.a < f.a < e.b < f.b or f.a < e.a < f.b < e.b
+    (a, b), (c, d) = e, f
+    return a < c < b < d or c < a < d < b
 
 
 def bits(mask: int):
@@ -213,23 +222,22 @@ def _crossing_capable(e: Edge, k: int, surface: SurfaceDesc) -> bool:
 def has_k_plus_1_crossing(edges, k: int, surface: SurfaceDesc) -> bool:
     """Does the edge set contain k+1 pairwise-crossing edges?  `_has_crossing`
     on the long enough edges."""
-    longs = {(e.a, e.b) for e in edges if _crossing_capable(e, k, surface)}
-    return _has_crossing(sorted(longs), k)
+    return _has_crossing(sorted({e for e in edges if _crossing_capable(e, k, surface)}), k)
 
 
-def _has_crossing(ends, k: int) -> bool:
-    """Do the edges, given as sorted (a, b) pairs with a < b, hold k+1
-    pairwise-crossing ones?  One clique search on their `crossing_rows`."""
-    return len(ends) > k and has_clique(crossing_rows(ends), k + 1)
+def _has_crossing(edges, k: int) -> bool:
+    """Do the distinct sorted `Edge`s hold k+1 pairwise-crossing ones?  One
+    clique search on their `crossing_rows`."""
+    return len(edges) > k and has_clique(crossing_rows(edges), k + 1)
 
 
-def crossing_rows(ends) -> list[int]:
-    """The crossing graph of edges given as sorted (a, b) pairs, a < b, as
-    bitmask rows: bit q of row p is set iff edges p and q interleave."""
-    adj = [0] * len(ends)
-    for p, (a, b) in enumerate(ends):
-        for q in range(p + 1, len(ends)):
-            c, d = ends[q]
+def crossing_rows(edges) -> list[int]:
+    """The crossing graph of sorted `Edge`s as bitmask rows: bit q of row p
+    is set iff edges p and q interleave."""
+    adj = [0] * len(edges)
+    for p, (a, b) in enumerate(edges):
+        for q in range(p + 1, len(edges)):
+            c, d = edges[q]
             if c >= b:
                 break
             if a < c and b < d:
@@ -255,7 +263,7 @@ class CrossingUniverse:
         self.k, self.own_blocks = k, own_blocks
         self.edges = sorted(e for group in groups for e in group)
         position = {e: p for p, e in enumerate(self.edges)}
-        self.adj = crossing_rows([(e.a, e.b) for e in self.edges])
+        self.adj = crossing_rows(self.edges)
         self.members = [sum(1 << position[e] for e in group) for group in groups]
         self.through_rep = [self.adj[position[group[0]]] for group in groups]
 

@@ -7,10 +7,13 @@ by `edge_class_of` on every star edge; `oracle_bisectors` tests each pair
 of angles with the generic `cyclically_ordered`.  `oracle_flip_via_chevron`
 traces every pipe of the chevron with `trace_pipes` and reads the crossings
 of the two pipes through the representative tile off its crossing map.
-The backends under test search only the stars through e's representative
-and follow only the two pipes that bump at its tile; both must name the
-same class as their oracle on every relevant class of C_1..C_4, and of C_5
-with stride 7.
+`oracle_flip_via_polygon` is the route the stars backend replaced before
+that: wrap t onto the 2kn-gon with `phi`, flip the class representative
+there through every star of the image (`star_decomposition`, as
+`polygon_flip` once did) and unwrap the new edge.  The backends under test
+search only the stars through e's representative and follow only the two
+pipes that bump at its tile; both must name the same class as all three
+oracles on every relevant class of C_1..C_4, and of C_5 with stride 7.
 
 The bounded search must find exactly the stars of the unbounded search
 that have the required edge, on every relevant edge of the cover graphs of
@@ -89,11 +92,25 @@ def oracle_flip_via_stars(t, e):
     return _sole_bisector(found - t.class_set())
 
 
+def oracle_polygon_flip(t, e):
+    """The replacement edge of e in the polygon triangulation t: the one
+    absent common bisector of the two stars of t holding e."""
+    holders = [s for s in star_decomposition(t) if e in s.edge_set()]
+    if len(holders) != 2:
+        raise StructureViolation(f"relevant edge {e} lies in {len(holders)} stars, expected 2")
+    (f,) = oracle_bisectors(*holders) - t.edge_set()
+    return f
+
+
+def oracle_flip_via_polygon(t, e):
+    return class_of_polygon_edge(oracle_polygon_flip(phi(t).inner, e.rep), t.surface.n, 2)
+
+
 def oracle_flip_via_chevron(p, e):
     n, k = p.period, p.inner.surface.k
     m = 2 * k * n
     dream = chevron_from_staircase(staircase_from_triangulation(p.inner))
-    orbit = {(f.a, f.b) for f in orbit_of_class(e, k)}
+    orbit = set(orbit_of_class(e, k))
     geometry = _geometry(dream)
     cells = sorted(cell for cell, end in zip(geometry.cells, geometry.ends) if end in orbit)
     if not cells:
@@ -119,6 +136,7 @@ def test_backends_match_their_oracles(n, step, cylinder_k2_triangulations):
         present, p = t.class_set(), phi(t)
         for e in t.relevant_classes():
             f = oracle_flip_via_stars(t, e)
+            assert oracle_flip_via_polygon(t, e) == f, (t, e)
             assert flips._flip_via_stars(t, e, present) == f, (t, e)
             assert flips._flip_via_chevron(p, e) == oracle_flip_via_chevron(p, e) == f, (t, e)
             flipped += 1

@@ -1,14 +1,12 @@
-"""The stars backend of `orbit_flip` on the cover against the polygon route.
+"""`orbit_flip` on the cover: its two backends catch each other out.
 
-`oracle_flip_via_polygon` is the route the stars backend replaced: wrap t
-onto the 2kn-gon with `phi`, flip the class representative there through
-every star of the image (`star_decomposition`, as `polygon_flip` once did)
-and unwrap the new edge.  `_flip_via_stars` reads the two holder stars from
-the star search bounded to e's representative and must name the same
-class on every relevant-class flip.  The flipped family is no longer
-rebuilt through `phi`; the tests below show that the two backends still
-catch each other out, and that `orbit_flip` follows two pipes and runs no
-unbounded star search.
+`_flip_via_stars` reads the two holder stars from the star search bounded
+to e's representative; `test_flip_backend_oracle` compares it, on every
+relevant-class flip, with the polygon route it replaced
+(`oracle_flip_via_polygon`).  The flipped family is no longer rebuilt
+through `phi`; the tests below show that the two backends still catch each
+other out, and that `orbit_flip` follows two pipes and runs no unbounded
+star search.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ import json
 import pytest
 
 from multitri import (
-    Edge,
     build_flip_graph,
-    class_of_polygon_edge,
     cylinder,
     enumerate_cylinder,
     flip_graph_json,
@@ -36,7 +32,7 @@ from multitri import flips
 from multitri.errors import StructureViolation
 from multitri.pipedreams import BUMP, CROSS, PipeDream, _geometry
 
-from test_flip_backend_oracle import oracle_bisectors
+from test_flip_backend_oracle import oracle_flip_via_polygon
 
 # sha256 of json.dumps(flip_graph_json(build_flip_graph(4)), sort_keys=True),
 # frozen from the polygon route.
@@ -47,32 +43,6 @@ FLIP_GRAPH_4_SHA256 = "adad7f8401fa9daede109056b4df25418d48c40530aec0f606720c281
 polygon_module = importlib.import_module("multitri.polygon")
 cylinder_module = importlib.import_module("multitri.cylinder")
 pipedreams_module = importlib.import_module("multitri.pipedreams")
-
-
-def oracle_polygon_flip(t, e):
-    """The replacement edge of e in the polygon triangulation t: the one
-    absent common bisector of the two stars of t holding e."""
-    holders = [s for s in polygon_module.star_decomposition(t) if e in s.edge_set()]
-    if len(holders) != 2:
-        raise StructureViolation(f"relevant edge {e} lies in {len(holders)} stars, expected 2")
-    (f,) = oracle_bisectors(*holders) - t.edge_set()
-    return f
-
-
-def oracle_flip_via_polygon(t, e):
-    rep = Edge(e.rep.a, e.rep.b)
-    return class_of_polygon_edge(oracle_polygon_flip(phi(t).inner, rep), t.surface.n, 2)
-
-
-@pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 7)])
-def test_stars_backend_matches_polygon_route(n, step, cylinder_k2_triangulations):
-    flipped = 0
-    for t in cylinder_k2_triangulations[n][::step]:
-        for e in t.relevant_classes():
-            want = oracle_flip_via_polygon(t, e)
-            assert flips._flip_via_stars(t, e, t.class_set()) == want, (t, e)
-            flipped += 1
-    assert flipped == {1: 0, 2: 8, 3: 144, 4: 2400, 5: 5600}[n]
 
 
 def test_flip_graph_4_unchanged():
@@ -124,7 +94,7 @@ def _with_tile(dream, cell, kind):
 
 def _representative_tile(p, e):
     dream = flips.chevron_from_staircase(flips.staircase_from_triangulation(p.inner))
-    orbit = {(f.a, f.b) for f in orbit_of_class(e, 2)}
+    orbit = set(orbit_of_class(e, 2))
     geometry = _geometry(dream)
     return dream, min(cell for cell, end in zip(geometry.cells, geometry.ends) if end in orbit)
 

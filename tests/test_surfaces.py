@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from multitri import (
     Edge,
+    EdgeClass,
     crosses,
     cyclic_length,
     cylinder,
@@ -37,15 +40,43 @@ def test_edge_basics():
     assert e.length == 5
     assert e.shifted(3) == Edge(5, 10)
     assert e.shifted(-2) == Edge(0, 5)
+    assert Edge(7, 2) == e == (2, 7)
+    assert (Edge(7, 2).a, Edge(7, 2).b) == (2, 7)
+    assert repr(e) == str(e) == f"{e}" == "[2,7]"
+    with pytest.raises(ValueError, match=r"^degenerate edge \[3,3\]$"):
+        Edge(3, 3)
+    # Set iteration order depends on the hash staying that of the pair.
+    for a, b in [(2, 7), (-4, 0), (0, 1)]:
+        assert hash(Edge(b, a)) == hash((a, b))
+    for copied in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert copied == e and type(copied) is Edge
+    with pytest.raises(AttributeError):
+        e.a = 3
+    assert sorted([Edge(1, 5), Edge(0, 9), Edge(1, 2)]) == [(0, 9), (1, 2), (1, 5)]
 
 
 def test_edge_class_canonical_rep():
     c = edge_class_of(Edge(7, 12), 3)
-    assert (c.rep.a, c.rep.b) == (1, 6)
+    assert c.rep == (1, 6) and c.n == 3
     assert c.length == 5
     # every translate canonicalizes to the same class
     assert edge_class_of(Edge(-2, 3), 3) == c
     assert c.translate(2).a == 7
+    assert repr(c) == str(c) == "~[1,6]"
+    with pytest.raises(ValueError, match=r"^representative \[3,5\] not canonical for period 3$"):
+        EdgeClass(Edge(3, 5), 3)
+    with pytest.raises(ValueError, match="not canonical"):
+        EdgeClass(Edge(-1, 2), 3)
+    assert hash(c) == hash((c.rep, c.n)) == hash(((1, 6), 3))
+    for copied in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert copied == c and type(copied) is EdgeClass and type(copied.rep) is Edge
+    with pytest.raises(AttributeError):
+        c.rep = Edge(0, 1)
+    # Classes sort by (rep, n), across periods too.
+    classes = [EdgeClass(Edge(1, 3), 2), EdgeClass(Edge(0, 4), 3), EdgeClass(Edge(1, 3), 3),
+               EdgeClass(Edge(0, 2), 2)]
+    assert sorted(classes) == [EdgeClass(Edge(0, 2), 2), EdgeClass(Edge(0, 4), 3),
+                               EdgeClass(Edge(1, 3), 2), EdgeClass(Edge(1, 3), 3)]
 
 
 def test_cyclic_length_wraps():
