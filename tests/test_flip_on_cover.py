@@ -1,9 +1,9 @@
 """`orbit_flip` on the cover: its two backends catch each other out.
 
 `_flip_via_stars` reads the two holder stars from the star search bounded
-to e's representative; `test_flip_backend_oracle` compares it, on every
-relevant-class flip, with the polygon route it replaced
-(`oracle_flip_via_polygon`).  The flipped family is no longer rebuilt
+to e's representative and must name, on every relevant-class flip, the
+same class as the polygon route it replaced (`oracle_flip_via_polygon`,
+in `test_flip_backend_oracle`).  The flipped family is no longer rebuilt
 through `phi`; the tests below show that the two backends still catch each
 other out, and that `orbit_flip` follows two pipes and runs no unbounded
 star search.
@@ -43,6 +43,17 @@ FLIP_GRAPH_4_SHA256 = "adad7f8401fa9daede109056b4df25418d48c40530aec0f606720c281
 polygon_module = importlib.import_module("multitri.polygon")
 cylinder_module = importlib.import_module("multitri.cylinder")
 pipedreams_module = importlib.import_module("multitri.pipedreams")
+
+
+@pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 7)])
+def test_stars_backend_matches_polygon_route(n, step, cylinder_k2_triangulations):
+    flipped = 0
+    for t in cylinder_k2_triangulations[n][::step]:
+        for e in t.relevant_classes():
+            want = oracle_flip_via_polygon(t, e)
+            assert flips._flip_via_stars(t, e, t.class_set()) == want, (t, e)
+            flipped += 1
+    assert flipped == {1: 0, 2: 8, 3: 144, 4: 2400, 5: 5600}[n]
 
 
 def test_flip_graph_4_unchanged():
