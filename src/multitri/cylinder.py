@@ -181,7 +181,7 @@ def star_of_angle(t: CylinderTriangulation, angle: Angle) -> KStar:
     if not is_periodic_crossing_free(t.classes, k, n):
         raise StructureViolation(f"lift contains a {k + 1}-crossing")
     side = angle.sides()[0]
-    orbits = {canonical_star(star, n) for star in _cover_stars_through(t.classes, n, k, side)}
+    orbits = {canonical_star(star, n) for star in _cover_stars(t, side)}
     found = _stars_with_angle(orbits, angle, n)
     if len(found) != 1:
         raise StructureViolation(f"angle {angle} lies in {len(found)} stars, expected 1")
@@ -246,32 +246,22 @@ def _cover_offsets(classes, n: int) -> list[list[int]]:
     return offsets
 
 
-def _cover_stars(t: CylinderTriangulation) -> list[KStar]:
-    """Every k-star of the cover whose edges all lie in the lift, one per
-    translation orbit, with its lowest vertex in [0, n); ordered by sorted
-    vertices.  No guard: the search of `_contained_stars` at any k."""
+def _cover_stars(t: CylinderTriangulation, through: Edge | None = None) -> list[KStar]:
+    """Every k-star of the cover whose edges all lie in the lift, ordered by
+    sorted vertices: one per translation orbit, with its lowest vertex in
+    [0, n); or, with `through` the cover edge [a, b], every one having it as
+    an edge, in absolute coordinates.  The search of `_contained_stars`,
+    bounded to that edge over the anchors from a - L to a for the longest
+    class length L.  No guard: the search runs at any k."""
     n, k = t.surface.n, t.surface.k
     offsets = _cover_offsets(t.class_set(), n)
-    # The search looks up neighbours below a star's top vertex z_2k only,
-    # which lies two star edges above z_0 < n.
-    reach = n + 2 * max((d for around in offsets for d in around), default=0)
-    neighbours = [[v + d for d in offsets[v % n]] for v in range(reach)]
-    return _contained_stars(neighbours, range(n), k)
-
-
-def _cover_stars_through(classes, n: int, k: int, edge: Edge) -> list[KStar]:
-    """Every k-star of the cover with `edge` among its edges and all of them
-    in the lift of `classes`, in absolute coordinates, ordered by sorted
-    vertices.  The search of `_contained_stars` bounded to that edge [a, b],
-    over the anchors from a - L to a for the longest class length L.  No
-    guard."""
-    offsets = _cover_offsets(classes, n)
     longest = max((around[-1] for around in offsets if around), default=0)
-    a = edge.a
-    # A star anchored there has its top vertex z_2k two edges above z_0 <= a.
+    anchors = range(n) if through is None else range(through.a - longest, through.a + 1)
+    # The search looks up neighbours below a star's top vertex z_2k only,
+    # which lies two star edges above its anchor z_0.
     neighbours = {v: [v + d for d in offsets[v % n]]
-                  for v in range(a - longest, a + 2 * longest + 1)}
-    return _contained_stars(neighbours, range(a - longest, a + 1), k, edge)
+                  for v in range(anchors[0], anchors[-1] + 2 * longest + 1)}
+    return _contained_stars(neighbours, anchors, k, through)
 
 
 def check_maximal_lifting(t: CylinderTriangulation) -> dict:

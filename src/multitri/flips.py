@@ -21,24 +21,14 @@ from .bijection import PeriodicPolygonTriangulation, class_of_polygon_edge, orbi
 from .cylinder import (
     CylinderTriangulation,
     _check_budget,
-    _cover_stars_through,
+    _cover_stars,
     enumerate_cylinder,
     stars_of,
 )
-from .errors import (
-    LengthPrecondition,
-    MalformedShape,
-    NotInTriangulation,
-    NotRelevant,
-    StructureViolation,
-)
+from .errors import LengthPrecondition, NotInTriangulation, NotRelevant, StructureViolation
 from .pipedreams import (
-    _SIDES,
-    _SOUTH,
-    _TURNS,
-    _WEST,
     BUMP,
-    CROSS,
+    _bump_crossings,
     _geometry,
     cell_edge,
     chevron_from_staircase,
@@ -57,7 +47,7 @@ def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass,
     the second holder is that star moved by kn, which wraps onto the same
     diameter.  No guard: `orbit_flip` has checked t's lift."""
     n, k = t.surface.n, t.surface.k
-    holders = [star.vertices for star in _cover_stars_through(t.classes, n, k, e.rep)]
+    holders = [star.vertices for star in _cover_stars(t, e.rep)]
     if e.is_spanning(k):
         holders += [[v + k * n for v in star] for star in holders]
     if len(holders) != 2:
@@ -84,34 +74,11 @@ def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClas
     kinds = list(dream.tiles.values())
     if kinds[tile] != BUMP:
         raise StructureViolation(f"tile {cells[tile]} carrying {e} is a {kinds[tile]}, not a bump")
-    # A bump joins its west side to its north and its south side to its east.
-    first, second = (_crossed_by_pipe(geometry, kinds, tile, (side, _TURNS[BUMP][side]))
-                     for side in (_WEST, _SOUTH))
-    crossings = first & second
+    crossings = _bump_crossings(geometry, kinds, tile)
     if len(crossings) != 1:
         raise StructureViolation(
             f"the pipes bumping at {cells[tile]} cross {len(crossings)} times, expected once")
     return class_of_polygon_edge(cell_edge(*cells[crossings.pop()], 2 * k * n), n, k)
-
-
-def _crossed_by_pipe(geometry, kinds: list[str], tile: int, sides: tuple[int, int]) -> set[int]:
-    """The cross tiles of the pipe holding the strand that joins `sides` of
-    `tile`, followed out of each of those sides to the boundary.  A strand
-    entering a tile from a side that its kind does not connect raises
-    MalformedShape."""
-    neighbors, crossed = geometry.neighbors, set()
-    for out in sides:
-        i = tile
-        while (i := neighbors[out][i]) >= 0:
-            entry = (out + 2) % 4
-            out = _TURNS[kinds[i]][entry]
-            if out is None:
-                raise MalformedShape(
-                    f"a pipe enters {geometry.cells[i]} from {_SIDES[entry]}, a side the "
-                    f"{kinds[i]} tile does not connect")
-            if kinds[i] == CROSS:
-                crossed.add(i)
-    return crossed
 
 
 def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangulation, EdgeClass]:

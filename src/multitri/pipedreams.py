@@ -321,6 +321,31 @@ def trace_pipes(p: PipeDream) -> TraceResult:
     return TraceResult(tuple(paths), crossings, permutation)
 
 
+def _bump_crossings(geometry: _Geometry, kinds: list[str], tile: int) -> set[int]:
+    """The cross tiles where the two pipes that bump at the bump `tile`
+    cross, each pipe followed out of both sides of its strand to the
+    boundary.  A strand entering a tile from a side that its kind does not
+    connect raises MalformedShape.  Only these two pipes are walked, so a
+    flip reads its crossing without `trace_pipes`; a walk shared with that
+    loop measured slower on one path or the other."""
+    neighbors, crossed = geometry.neighbors, []
+    # A bump joins its west side to its north and its south side to its east.
+    for side in (_WEST, _SOUTH):
+        crossed.append(set())
+        for out in (side, _TURNS[BUMP][side]):
+            i = tile
+            while (i := neighbors[out][i]) >= 0:
+                entry = (out + 2) % 4
+                out = _TURNS[kinds[i]][entry]
+                if out is None:
+                    raise MalformedShape(
+                        f"a pipe enters {geometry.cells[i]} from {_SIDES[entry]}, a side the "
+                        f"{kinds[i]} tile does not connect")
+                if kinds[i] == CROSS:
+                    crossed[-1].add(i)
+    return crossed[0] & crossed[1]
+
+
 def _pyramid_cells(m: int, k: int, width: int) -> list[tuple[int, int]]:
     # Inverted pyramid hanging from the top row with its NE corner at (m, m-k).
     cells = []

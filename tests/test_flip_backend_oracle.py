@@ -41,7 +41,7 @@ from multitri import (
     trace_pipes,
 )
 from multitri import flips
-from multitri.cylinder import _cover_stars, _cover_stars_through
+from multitri.cylinder import _cover_stars
 from multitri.errors import StructureViolation
 from multitri.pipedreams import (
     _geometry,
@@ -192,7 +192,7 @@ def test_bounded_search_on_the_cover(n, k, step, count):
             a, b = e.rep.a, e.rep.b
             want = _filtered(every, a, b)
             assert _contained_stars(graph, range(-reach, n), k, (a, b)) == want, (t, e)
-            assert _cover_stars_through(t.classes, n, k, e.rep) == want, (t, e)
+            assert _cover_stars(t, e.rep) == want, (t, e)
             searched += 1
     assert searched == count * k * (n - 1)
 

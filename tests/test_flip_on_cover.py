@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import re
 
 import pytest
 
@@ -29,8 +30,8 @@ from multitri import (
     trace_pipes,
 )
 from multitri import flips
-from multitri.errors import StructureViolation
-from multitri.pipedreams import BUMP, CROSS, PipeDream, _geometry
+from multitri.errors import MalformedShape, StructureViolation
+from multitri.pipedreams import BUMP, CROSS, JELBOW, PipeDream, _geometry
 
 from test_flip_backend_oracle import oracle_flip_via_polygon
 
@@ -89,8 +90,16 @@ def test_orbit_flip_traces_two_pipes_and_searches_through_e(monkeypatch):
     def forbidden(*args):
         raise AssertionError("orbit_flip reached a full search")
 
+    search = cylinder_module._cover_stars
+
+    def bounded_only(t, through=None):
+        if through is None:
+            forbidden()
+        return search(t, through)
+
     monkeypatch.setattr(pipedreams_module, "trace_pipes", forbidden)
-    monkeypatch.setattr(cylinder_module, "_cover_stars", forbidden)
+    monkeypatch.setattr(cylinder_module, "_cover_stars", bounded_only)
+    monkeypatch.setattr(flips, "_cover_stars", bounded_only)
     count = 0
     for t in enumerate_cylinder(cylinder(3, 2)):
         for e in t.relevant_classes():
@@ -145,6 +154,25 @@ def test_chevron_backend_rejects_pipes_crossing_twice(monkeypatch, t_left):
             monkeypatch.undo()
             twice += 1
     assert twice == 5
+
+
+def test_chevron_backend_rejects_a_pipe_entering_an_elbow_from_the_south(monkeypatch, t_left):
+    """Turning the north neighbour of the representative bump into a J
+    elbow leaves the bump's north-going strand nowhere to go."""
+    p = phi(t_left)
+    rejected = 0
+    for e in t_left.relevant_classes():
+        dream, (r, c) = _representative_tile(p, e)
+        if (r + 1, c) not in dream.tiles:
+            continue
+        monkeypatch.setattr(flips, "chevron_from_staircase",
+                            lambda _, bad=_with_tile(dream, (r + 1, c), JELBOW): bad)
+        message = f"a pipe enters {(r + 1, c)} from S, a side the jelbow tile does not connect"
+        with pytest.raises(MalformedShape, match=re.escape(message)):
+            flips._flip_via_chevron(p, e)
+        monkeypatch.undo()
+        rejected += 1
+    assert rejected == 4
 
 
 @pytest.mark.parametrize("backend", ["_flip_via_stars", "_flip_via_chevron"])

@@ -175,11 +175,18 @@ def test_cli_pipedream_malformed_input(tmp_path, capsys):
     assert "missing fields" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("obj", [
-    {"surface": "polygon", "n": 9, "k": 2, "edges": [[0, 4]]},
-    {"surface": "polygon", "n": 2000, "k": 1, "edges": []},
-])
-def test_cli_pipedream_rejects_invalid_polygon(tmp_path, capsys, obj):
+@pytest.mark.parametrize("obj, message", [
+    ({"surface": "polygon", "n": 9, "k": 2, "edges": [[0, 4]]}, "edges of length <= 2 missing"),
+    ({"surface": "polygon", "n": 2000, "k": 1, "edges": []}, "edges of length <= 1 missing"),
+    # The first 2-triangulation of the 9-gon with [0,3] swapped for [2,6]:
+    # every short edge and the right edge count, but a 3-crossing.
+    ({"surface": "polygon", "n": 9, "k": 2, "edges": [
+        [0, 1], [0, 2], [0, 4], [0, 5], [0, 6], [0, 7], [0, 8], [1, 2], [1, 3],
+        [1, 4], [1, 5], [1, 6], [1, 7], [1, 8], [2, 3], [2, 4], [2, 6], [3, 4],
+        [3, 5], [4, 5], [4, 6], [5, 6], [5, 7], [6, 7], [6, 8], [7, 8]]},
+     "contains a 3-crossing"),
+], ids=["obj0", "obj1", "obj2"])
+def test_cli_pipedream_rejects_invalid_polygon(tmp_path, capsys, obj, message):
     """Polygon input is validated before rendering, as cylinder input is
     by the bijection; the 2000-gon used to render for seconds and exit 0."""
     path = tmp_path / "input.json"
@@ -189,7 +196,7 @@ def test_cli_pipedream_rejects_invalid_polygon(tmp_path, capsys, obj):
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "StructureViolation" in captured.err
+    assert f"StructureViolation: {message}" in captured.err
 
 
 def test_cli_missing_edge_message_is_bounded(tmp_path, capsys):
@@ -279,7 +286,24 @@ def test_cli_flip_graph_budget(capsys):
     assert "TooLarge" in capsys.readouterr().err
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys, worked_12gon):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    polygon_path = tmp_path / "polygon.json"
+    polygon_path.write_text(json.dumps(serialize_triangulation(worked_12gon)))
+    array_path = tmp_path / "array.json"
+    array_path.write_text("[]")
+    for argv, message in [
+        (["flip", "--input", str(polygon_path), "--edge", "0,3"],
+         "flip expects a cylinder triangulation"),
+        (["pipedream", "--input", str(array_path)], "triangulation JSON must be an object"),
+        (["enumerate", "--surface", "cylinder", "--n", "0", "--k", "2"], "need n >= 1 and k >= 1"),
+        (["enumerate", "--surface", "polygon", "--n", "6", "--k", "0"], "need n >= 1 and k >= 1"),
+        (["enumerate", "--surface", "polygon", "--n", "2", "--k", "1"],
+         "polygon needs at least 3 vertices"),
+    ]:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
