@@ -8,8 +8,9 @@ step on the complex; only the stars through that representative are
 searched.  In the chevron of the periodic polygon image, the two pipes
 that bump at a representative tile cross at exactly one tile, which
 carries the new class: a flip exchanges the contact of two pseudolines
-for their crossing (Pilaud-Pocchiola; Stump).  Only those two pipes are
-followed.
+for their crossing (Pilaud-Pocchiola; Stump).  The chevron's tiles are
+read off the image's edges by the label rule of `pipedreams`, with no
+pipe dream built, and only those two pipes are followed.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from .cylinder import (
     stars_of,
 )
 from .errors import LengthPrecondition, NotInTriangulation, NotRelevant, StructureViolation
-from .pipedreams import (
-    BUMP,
-    _bump_crossings,
-    _geometry,
-    cell_edge,
-    chevron_from_staircase,
-    staircase_from_triangulation,
-)
+from .pipedreams import BUMP, CHEVRON, _bump_crossings, _canonical_geometry, _fill, cell_edge
 from .polygon import _bisectors, _sole_bisector, make_star
 from .surfaces import EdgeClass, cylinder, edge_class_of, is_periodic_crossing_free
 
@@ -60,18 +54,19 @@ def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass,
 def _flip_via_chevron(p: PeriodicPolygonTriangulation, e: EdgeClass) -> EdgeClass:
     """Flip through the chevron: the two pipes that bump at the first tile
     carrying a representative of e cross at exactly one cross tile, which
-    carries the new class.  Only those two pipes are followed, each from
-    the tile out of both sides of its strand to the boundary."""
+    carries the new class.  The tiles are read off the image's edges by the
+    chevron's label rule, with no pipe dream built, and only those two pipes
+    are followed, each from the tile out of both sides of its strand to the
+    boundary."""
     n, k = p.period, p.inner.surface.k
-    dream = chevron_from_staircase(staircase_from_triangulation(p.inner))
+    geometry = _canonical_geometry(CHEVRON, 2 * k * n, k)
+    kinds = _fill(geometry, p.inner.edge_set())
     orbit = set(orbit_of_class(e, k))
-    geometry = _geometry(dream)
     cells = geometry.cells
     tiles = [i for i, end in enumerate(geometry.ends) if end in orbit]
     if not tiles:
         raise StructureViolation(f"no chevron tile carries a representative of {e}")
     tile = min(tiles, key=cells.__getitem__)
-    kinds = list(dream.tiles.values())
     if kinds[tile] != BUMP:
         raise StructureViolation(f"tile {cells[tile]} carrying {e} is a {kinds[tile]}, not a bump")
     crossings = _bump_crossings(geometry, kinds, tile)

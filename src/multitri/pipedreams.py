@@ -20,15 +20,15 @@ m-gon at order k, and its chevron, have one cell list each, fixed by
 (m, k): the support on which Stump and Pilaud-Pocchiola read a
 k-triangulation as pseudolines.  `_canonical_geometry` builds each once,
 on first use, and keeps at most `_CACHE_SIZE` of them, each O(m^2).
-A call then reads its tiles in cell order and does integer work.  The
-chevron geometry also holds the rebuild as a cell map, taken from one run
-of `chevron_stages` on the all-bump staircase.  That map is exact for
-every staircase `staircase_from_triangulation` fills, since the five
-steps move cells by position and only the forced-short-edge check reads
-kinds; `chevron_from_staircase` runs that check on every call and hands
-any other staircase to `chevron_stages`.  A dream whose cell list is not
-the canonical one, in the canonical order, gets a geometry of its own for
-that call, so it never enters the cache.
+A call then reads its tiles in cell order and does integer work.  Both
+shapes are filled by one label rule, `_fill`: each cell holds its fixed
+elbow, else a bump where its edge is in the triangulation and a cross
+elsewhere.  It holds for the chevron since the five steps carry each box
+onto labels congruent to its own modulo m, and no two boxes share an
+edge; `chevron_from_staircase` hands any staircase that
+`staircase_from_triangulation` could not have made to `chevron_stages`.
+A dream whose cell list is not the canonical one, in the canonical order,
+gets a geometry of its own for that call, so it never enters the cache.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ _TURNS = {kind: tuple(_SIDES.index(turn[s]) if s in turn else None for s in _SID
           for kind, turn in CONNECTIONS.items()}
 
 TILE = 24
-
-# The fixed elbows of a chevron cell map, indexed past the staircase's cells.
-_ELBOWS = [JELBOW, FELBOW]
 
 # Canonical geometries kept, per (shape, m, k).
 _CACHE_SIZE = 16
@@ -196,30 +193,33 @@ def _canonical_geometry(shape: str, m: int, k: int) -> _Geometry:
     """The geometry of the staircases `staircase_from_triangulation` fills
     for the m-gon at order k, or of the chevrons made from them.
 
-    The staircase's also lists its J elbow cells (`elbows`) and its cells
-    of gap m-k (`forced`).  The chevron's `sources` gives, for each cell,
-    the index of the staircase cell whose tile it takes, or the index past
-    the staircase's cells of its fixed elbow in `_ELBOWS`.
+    Each lists its fixed elbows for `_fill` as (index, kind) pairs
+    (`elbows`): the staircase's J elbows on the gap-k diagonal, and the
+    chevron's from `chevron_stages` on the all-bump staircase.  The
+    staircase's also lists its cells of gap m-k (`forced`).
     """
     if shape == STAIRCASE:
         geometry = _Geometry(
             [(r, c) for r in range(k + 1, m + 1) for c in range(1, r - k + 1)], m, k)
-        geometry.elbows = [i for i, (r, c) in enumerate(geometry.cells) if r - c == k]
+        geometry.elbows = [(i, JELBOW) for i, (r, c) in enumerate(geometry.cells) if r - c == k]
         geometry.forced = [i for i, (r, c) in enumerate(geometry.cells) if r - c == m - k]
         return geometry
     staircase = _canonical_geometry(STAIRCASE, m, k)
-    filled = dict.fromkeys(staircase.cells, BUMP)
-    filled.update((staircase.cells[i], JELBOW) for i in staircase.elbows)
-    stages = chevron_stages(PipeDream(STAIRCASE, filled, m, k))
-    # A moved cell (r, c) of the pyramid or the triangle lands on (c, r - m).
-    moved = {(c, r - m): (r, c) for stage in ("pyramid", "triangle") for r, c in stages[stage]}
-    index = {cell: i for i, cell in enumerate(staircase.cells)}
-    geometry = _Geometry(list(stages["chevron"]), m, k)
-    geometry.sources = [
-        index[moved.get(cell, cell)] if kind == BUMP
-        else len(staircase.cells) + _ELBOWS.index(kind)
-        for cell, kind in stages["chevron"].items()]
+    filled = dict(zip(staircase.cells, _fill(staircase, set(staircase.ends))))
+    chevron = chevron_stages(PipeDream(STAIRCASE, filled, m, k))["chevron"]
+    geometry = _Geometry(list(chevron), m, k)
+    geometry.elbows = [(i, kind) for i, kind in enumerate(chevron.values()) if kind != BUMP]
     return geometry
+
+
+def _fill(geometry: _Geometry, edges: frozenset | set) -> list[str]:
+    """The kinds of a canonical dream's cells, in cell order: each cell's
+    fixed elbow, else a bump where its edge is in `edges` and a cross
+    elsewhere."""
+    kinds = [BUMP if end in edges else CROSS for end in geometry.ends]
+    for i, kind in geometry.elbows:
+        kinds[i] = kind
+    return kinds
 
 
 def _canonical_size(shape: str, m: int, k: int) -> int | None:
@@ -252,12 +252,8 @@ def _geometry(p: PipeDream) -> _Geometry:
 def staircase_from_triangulation(t: PolygonTriangulation) -> PipeDream:
     """Fill the staircase for the m-gon from the edges of t."""
     m, k = t.surface.n, t.surface.k
-    edges = t.edge_set()
     geometry = _canonical_geometry(STAIRCASE, m, k)
-    kinds = [BUMP if end in edges else CROSS for end in geometry.ends]
-    for i in geometry.elbows:
-        kinds[i] = JELBOW
-    return PipeDream(STAIRCASE, dict(zip(geometry.cells, kinds)), m, k)
+    return PipeDream(STAIRCASE, dict(zip(geometry.cells, _fill(geometry, t.edge_set()))), m, k)
 
 
 def boundary_ports(p: PipeDream) -> list[tuple[str, int, int]]:
@@ -439,10 +435,11 @@ def chevron_stages(p: PipeDream) -> dict:
 
 
 def chevron_from_staircase(p: PipeDream) -> PipeDream:
-    """The last stage of `chevron_stages`, read off the cached cell map
-    when p is a staircase `staircase_from_triangulation` could have made:
-    the canonical cells in order, J elbows on the gap-k diagonal and boxes
-    elsewhere.  Its forced short edges are checked as in `chevron_stages`."""
+    """The last stage of `chevron_stages`.  When p is a staircase
+    `staircase_from_triangulation` could have made (the canonical cells in
+    order, J elbows on the gap-k diagonal and boxes elsewhere), the chevron
+    is `_fill`ed from the edges of p's bumps.  Its forced short edges are
+    checked as in `chevron_stages`."""
     _check_chevron_input(p)
     staircase = _canonical_for(p)
     if staircase is not None:
@@ -452,12 +449,12 @@ def chevron_from_staircase(p: PipeDream) -> PipeDream:
                 raise StructureViolation(
                     f"cell {staircase.cells[i]} should hold a forced short edge, "
                     f"found {kinds[i]}")
-        elbows = [kinds[i] for i in staircase.elbows]
-        if (elbows.count(JELBOW) == len(elbows)
+        elbows = staircase.elbows
+        if (all(kinds[i] == kind for i, kind in elbows)
                 and kinds.count(BUMP) + kinds.count(CROSS) == len(kinds) - len(elbows)):
             chevron = _canonical_geometry(CHEVRON, p.m, p.k)
-            tiles = dict(zip(chevron.cells, map((kinds + _ELBOWS).__getitem__, chevron.sources)))
-            return PipeDream(CHEVRON, tiles, p.m, p.k)
+            bumps = {end for end, kind in zip(staircase.ends, kinds) if kind == BUMP}
+            return PipeDream(CHEVRON, dict(zip(chevron.cells, _fill(chevron, bumps))), p.m, p.k)
     return PipeDream(CHEVRON, chevron_stages(p)["chevron"], p.m, p.k)
 
 

@@ -5,8 +5,8 @@ to e's representative and must name, on every relevant-class flip, the
 same class as the polygon route it replaced (`oracle_flip_via_polygon`,
 in `test_flip_backend_oracle`).  The flipped family is no longer rebuilt
 through `phi`; the tests below show that the two backends still catch each
-other out, and that `orbit_flip` follows two pipes and runs no unbounded
-star search.
+other out, and that `orbit_flip` follows two pipes, builds no pipe dream
+and runs no unbounded star search.
 """
 
 from __future__ import annotations
@@ -108,12 +108,35 @@ def test_orbit_flip_traces_two_pipes_and_searches_through_e(monkeypatch):
     assert count == 144
 
 
+def test_orbit_flip_builds_no_pipe_dream(monkeypatch):
+    """The chevron backend reads its tiles off the image's edges."""
+    ts = enumerate_cylinder(cylinder(3, 2))[:20]
+    orbit_flip(ts[0], ts[0].relevant_classes()[0])  # builds the cached geometry
+
+    def forbidden(*args):
+        raise AssertionError("orbit_flip built a pipe dream")
+
+    monkeypatch.setattr(pipedreams_module, "PipeDream", forbidden)
+    count = 0
+    for t in ts:
+        for e in t.relevant_classes():
+            assert orbit_flip(t, e)[1] == oracle_flip_via_polygon(t, e)
+            count += 1
+    assert count == 80
+
+
 def _with_tile(dream, cell, kind):
     return PipeDream(dream.shape, {**dream.tiles, cell: kind}, dream.m, dream.k)
 
 
+def _fill_as(dream):
+    """A stand-in for `flips._fill` that answers the kinds of `dream`."""
+    return lambda *_: list(dream.tiles.values())
+
+
 def _representative_tile(p, e):
-    dream = flips.chevron_from_staircase(flips.staircase_from_triangulation(p.inner))
+    dream = pipedreams_module.chevron_from_staircase(
+        pipedreams_module.staircase_from_triangulation(p.inner))
     orbit = set(orbit_of_class(e, 2))
     geometry = _geometry(dream)
     return dream, min(cell for cell, end in zip(geometry.cells, geometry.ends) if end in orbit)
@@ -124,8 +147,7 @@ def test_chevron_backend_rejects_a_crossed_representative_tile(monkeypatch, t_le
     for e in t_left.relevant_classes():
         dream, cell = _representative_tile(p, e)
         assert dream.tiles[cell] == BUMP
-        monkeypatch.setattr(flips, "chevron_from_staircase",
-                            lambda _, bad=_with_tile(dream, cell, CROSS): bad)
+        monkeypatch.setattr(flips, "_fill", _fill_as(_with_tile(dream, cell, CROSS)))
         with pytest.raises(StructureViolation, match="not a bump"):
             flips._flip_via_chevron(p, e)
         monkeypatch.undo()
@@ -148,7 +170,7 @@ def test_chevron_backend_rejects_pipes_crossing_twice(monkeypatch, t_left):
                                 if any((r, c) == cell for r, c, _ in path.visited)))
             if len(trace.crossings.get(pair, ())) != 2:
                 continue
-            monkeypatch.setattr(flips, "chevron_from_staircase", lambda _, bad=bad: bad)
+            monkeypatch.setattr(flips, "_fill", _fill_as(bad))
             with pytest.raises(StructureViolation, match="cross 2 times, expected once"):
                 flips._flip_via_chevron(p, e)
             monkeypatch.undo()
@@ -165,8 +187,7 @@ def test_chevron_backend_rejects_a_pipe_entering_an_elbow_from_the_south(monkeyp
         dream, (r, c) = _representative_tile(p, e)
         if (r + 1, c) not in dream.tiles:
             continue
-        monkeypatch.setattr(flips, "chevron_from_staircase",
-                            lambda _, bad=_with_tile(dream, (r + 1, c), JELBOW): bad)
+        monkeypatch.setattr(flips, "_fill", _fill_as(_with_tile(dream, (r + 1, c), JELBOW)))
         message = f"a pipe enters {(r + 1, c)} from S, a side the jelbow tile does not connect"
         with pytest.raises(MalformedShape, match=re.escape(message)):
             flips._flip_via_chevron(p, e)

@@ -8,8 +8,10 @@ the class orbit, and runs `oracle_has_k_plus_1_crossing`;
 `oracle_staircase`, `oracle_render_svg` and `oracle_is_n_periodic` read
 every tile of the dream by its (row, column) labels.  `oracle_trace_pipes` and
 `chevron_stages(...)["chevron"]` are the oracles for tracing and for the
-chevron.  Every public result must be equal, dict order included, or raise
-the same exception type with the same message.
+chevron, both as `chevron_from_staircase` builds it and as the label rule
+`_fill` reads it straight off the edges.  Every public result must be
+equal, dict order included, or raise the same exception type with the
+same message.
 """
 
 from __future__ import annotations
@@ -210,6 +212,9 @@ def assert_same_polygon_dreams(t: PolygonTriangulation, n: int | None = None):
     chevron = assert_same_dream_results(staircase, n)
     if chevron is not None:
         assert_same_dream_results(chevron, n)
+        geometry = pipedreams._canonical_geometry(CHEVRON, t.surface.n, t.surface.k)
+        kinds = list(chevron_stages(staircase)["chevron"].values())
+        assert pipedreams._fill(geometry, t.edge_set()) == kinds
     return staircase, chevron
 
 
