@@ -294,13 +294,18 @@ class CrossingUniverse:
         - Forward checking (Haralick-Elliott, "Increasing tree search
           efficiency for constraint satisfaction problems", AIJ 1980) is the
           one blocked test: `possible` starts from the groups their own members
-          do not block, and including group g tests each later group whose
-          representative a member of g crosses, as a k-clique g adds through a
-          representative holds one.  The chosen union is crossing-free and,
-          like each group, invariant under the symmetry forming the groups
-          (rotation on the polygon, translation on the cover), so a new
-          crossing can be moved onto a representative: a group in `possible` is
-          included with no test.  Chosen members only grow down a branch, so a
+          do not block, and including group g tests each later group j whose
+          representative a member of g crosses.  The test looks only for new
+          cliques: j was in `possible`, so the chosen and j's own members held
+          no k-clique crossing j's representative, and groups are disjoint, so
+          a k-clique there now holds a member m of g crossing it, and its
+          other k-1 edges cross m as well.  So j is blocked iff for some such
+          m, lowest first, the chosen and own members crossing both hold a
+          (k-1)-clique.  The chosen union is crossing-free and, like each
+          group, invariant under the symmetry forming the groups (rotation on
+          the polygon, translation on the cover), so a new crossing can be
+          moved onto a representative: a group in `possible` is included with
+          no test.  Chosen members only grow down a branch, so a
           group outside `possible` stays blocked and is only excluded, and
           every cut reading `possible` is sound, with or without `size`.
         - Excluding a group is cut when the still possible members cannot
@@ -308,11 +313,16 @@ class CrossingUniverse:
         - At a leaf every absent group must be blocked by a k-clique of
           chosen edges crossing its representative.  With `own_blocks` (the
           cylinder) the group's own members count too, so a class is addable
-          iff the lift stays crossing-free with all its translates.  Without
-          (the polygon) maximality stays edge by edge: a rotation-invariant
-          set is kept only when no single absent edge can be added, which
-          keeps the lab's k=3 bijection check meaningful against the
-          class-maximal cylinder side.
+          iff the lift stays crossing-free with all its translates.  That is
+          forward checking's test, so a group excluded outside `possible` is
+          known blocked, and only the groups excluded while still in
+          `possible` (`unblocked`) are tested.  Without (the polygon)
+          maximality stays edge by edge: a rotation-invariant set is kept
+          only when no single absent edge can be added, which keeps the lab's
+          k=3 bijection check meaningful against the class-maximal cylinder
+          side.  Forward checking counts an orbit's own edges, so an orbit it
+          found blocked may still take one edge, and every absent group is
+          tested.
         - `size`, where given, is the number of member bits of every maximal
           set, so it may only be passed where the complex is pure: for the
           polygon at every k (Nakamigawa; Dress-Koolen-Moulton), and for
@@ -332,15 +342,19 @@ class CrossingUniverse:
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
         own = members if self.own_blocks else [0] * len(members)
         count, floor = len(members), size or 0
-        # hits[i]: the later groups whose representative a member of i crosses.
-        hits = [[j for j in range(i + 1, count) if rows[j] & members[i]]
+        # hits[i]: for each later group j whose representative a member of i
+        # crosses, j's members, the edges crossing its representative, and
+        # the `adj` rows of the members of i that cross it.
+        hits = [[(members[j], rows[j], [adj[m] for m in bits(members[i] & rows[j])])
+                 for j in range(i + 1, count) if rows[j] & members[i]]
                 for i in range(count)]
         found: list[int] = []
 
-        def rec(i: int, picked: int, lift: int, possible: int):
+        # `unblocked`: the groups excluded while still in `possible`.
+        def rec(i: int, picked: int, lift: int, possible: int, unblocked: int):
             if i == count:
                 if size is None:
-                    for j in range(count):
+                    for j in (bits(unblocked) if self.own_blocks else range(count)):
                         if not lift & members[j] and not has_clique(
                                 adj, k, within=rows[j] & (lift | own[j])):
                             return
@@ -349,19 +363,23 @@ class CrossingUniverse:
             group = members[i]
             if possible & group:
                 grown, alive = lift | group, possible
-                for j in hits[i]:
-                    if alive & members[j] and has_clique(
-                            adj, k, within=rows[j] & (grown | members[j])):
-                        alive &= ~members[j]
+                for later, row, crossing in hits[i]:
+                    if alive & later:
+                        within = row & (grown | later)
+                        for through in crossing:
+                            if has_clique(adj, k - 1, within=within & through):
+                                alive &= ~later
+                                break
                 if alive.bit_count() >= floor:
-                    rec(i + 1, picked | 1 << i, grown, alive)
+                    rec(i + 1, picked | 1 << i, grown, alive, unblocked)
                 possible &= ~group
                 if possible.bit_count() < floor or not has_clique(
                         adj, k, within=rows[i] & (possible | own[i])):
                     return
-            rec(i + 1, picked, lift, possible)
+                unblocked |= 1 << i
+            rec(i + 1, picked, lift, possible, unblocked)
 
-        rec(0, 0, 0, self.lift(i for i in range(count) if not self.blocked(i, 0)))
+        rec(0, 0, 0, self.lift(i for i in range(count) if not self.blocked(i, 0)), 0)
         return found
 
 

@@ -7,15 +7,17 @@ search in place of the bounded one, and the bounded enumerator must return
 the same list; `test_forward_checking_matches_oracle` compares the two
 searches mask for mask, with and without the size.  The largest budget
 instances are too slow for the oracle and are checked against the
-Catalan-Hankel counts instead, apart from the 81,796 triangulations of the
-12-gon at k=3: their search alone takes about 8 s (one run on a shared
-2-vCPU host), so (11, 3) is the largest k=3 instance checked here.
+Catalan-Hankel counts instead; the largest, the 81,796 triangulations of
+the 12-gon at k=3, took 2.8-3.5 s and 60 MB peak RSS to enumerate (two
+runs on a shared 2-vCPU host).
 
 The enumerators return the search order without a final sort; the tests
 at the end check that it is the sorted order.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -106,7 +108,7 @@ def test_cylinder_c5_bound_gives_distinct_valid_triangulations(cylinder_k2_trian
         validate_cylinder_triangulation(t)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_largest_polygon_budget_matches_catalan_hankel(k):
     n = ENUMERATION_BUDGET[k]
     found = enumerate_polygon(polygon(n, k))
@@ -152,25 +154,26 @@ def test_forward_checking_matches_oracle(case):
             assert universe.maximal_sets() == oracle_maximal_sets(universe)
 
 
-def count_has_clique(run) -> int:
-    """The `surfaces.has_clique` calls made by `run()`."""
-    calls = {"n": 0}
+def count_has_clique(run) -> Counter:
+    """The `surfaces.has_clique` calls made by `run()`, counted by clique size."""
+    sizes: Counter = Counter()
     counted = surfaces.has_clique
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return counted(*args, **kwargs)
+    def counting(adj, size, within=None):
+        sizes[size] += 1
+        return counted(adj, size, within)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surfaces, "has_clique", counting)
         run()
-    return calls["n"]
+    return sizes
 
 
-# The bound on the search's `has_clique` calls sits between the counts of
-# forward checking as the one blocked test (4,998, 4,101 and 7,936) and of
-# the search that also tested each group on inclusion (24,554, 9,163 and
-# 11,780).
+# The bound on the search's `has_clique` calls sits above the counts of
+# forward checking as the one blocked test (4,998, 5,586 and 3,972; one call
+# per member of the included group crossing a representative, and at a
+# cylinder leaf only the groups not found blocked) and below those of the
+# search that also tested each group on inclusion (24,554, 9,163 and 11,780).
 @pytest.mark.parametrize("enumerate_,surface,bound",
                          [(enumerate_polygon, polygon(10, 1), 10_000),
                           (enumerate_cylinder, cylinder(4, 2), 6_000),
@@ -182,10 +185,27 @@ def test_forward_checking_prunes(enumerate_, surface, bound):
     unnoticed, and no more than `bound`, so a second blocked test cannot
     come back unnoticed."""
     [(universe, size)] = searched(enumerate_, surface)
-    fast = count_has_clique(lambda: universe.maximal_sets(size))
-    slow = count_has_clique(lambda: oracle_maximal_sets(universe, size))
+    fast = count_has_clique(lambda: universe.maximal_sets(size)).total()
+    slow = count_has_clique(lambda: oracle_maximal_sets(universe, size)).total()
     assert 0 < fast < slow
     assert fast <= bound
+
+
+def test_forward_checking_looks_through_the_included_group():
+    """After an inclusion, a later group is tested for a (k-1)-clique
+    through one member of the included group, not for a k-clique: on the
+    9-gon at k=2 those tests outnumber the k-clique tests of the exclude cut
+    and the seed (3,809 against 1,184)."""
+    sizes = count_has_clique(lambda: enumerate_polygon(polygon(9, 2)))
+    assert set(sizes) == {1, 2}
+    assert sizes[1] > sizes[2]
+
+
+def test_leaf_test_skips_groups_found_blocked():
+    """With `own_blocks`, the leaf test of the leaf-check search skips the
+    groups that forward checking found blocked: C_6 at k=1 makes 3,972
+    calls, where testing every absent group made 7,936."""
+    assert count_has_clique(lambda: enumerate_cylinder(cylinder(6, 1))).total() <= 6_000
 
 
 def test_seed_drops_groups_blocked_by_their_own_members():
@@ -234,25 +254,15 @@ LEAF_CHECK_CALLS = {"polygon(9, 2)": 42121, "shift 3 of polygon(12, 2)": 1225,
                     "cylinder(3, 2)": 1456}
 
 
-def test_every_search_node_still_calls_has_clique(monkeypatch):
+def test_every_search_node_still_calls_has_clique():
     """The search makes every `has_clique` call through the module global,
     the one place a caller can count search work.  A node deciding a group
     already found blocked makes none."""
-    calls = {"n": 0}
-    counted = surfaces.has_clique
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return counted(*args, **kwargs)
-
-    monkeypatch.setattr(surfaces, "has_clique", counting)
     runs = {"polygon(9, 2)": lambda: enumerate_polygon(polygon(9, 2)),
             "shift 3 of polygon(12, 2)": lambda: enumerate_shift_invariant(polygon(12, 2), 3),
             "cylinder(3, 2)": lambda: enumerate_cylinder(cylinder(3, 2))}
     for name, run in runs.items():
-        calls["n"] = 0
-        run()
-        assert 0 < calls["n"] < LEAF_CHECK_CALLS[name], name
+        assert 0 < count_has_clique(run).total() < LEAF_CHECK_CALLS[name], name
 
 
 def assert_sorted(keys):
