@@ -118,9 +118,13 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
     edges.  Each result is merged with the short edges on integer ranks
     (`sorted_unions`)."""
     n, k = surface.n, surface.k
-    orbits = sorted({tuple(_rotation_orbit(*e, abs(shift), n))
-                     for e in relevant_candidates(n, k)})
-    universe = CrossingUniverse(k, orbits, own_blocks=False)
+    shift = abs(shift)
+    orbits = sorted({tuple(_rotation_orbit(*e, shift, n)) for e in relevant_candidates(n, k)})
+    index = {orbit: i for i, orbit in enumerate(orbits)}
+    # Rotation by d < shift permutes the orbits.
+    rotations = [[index[tuple(_rotation_orbit(a + d, b + d, shift, n))] for (a, b), *_ in orbits]
+                 for d in range(1, shift)]
+    universe = CrossingUniverse(k, orbits, own_blocks=False, symmetries=rotations)
     shorts = short_edges(n, k)
     # Polygon purity: every k-triangulation has expected_edge_count edges.
     size = expected_edge_count(n, k) - len(shorts)

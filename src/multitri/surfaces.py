@@ -234,6 +234,7 @@ def _has_crossing(edges, k: int) -> bool:
 def crossing_rows(edges) -> list[int]:
     """The crossing graph of sorted `Edge`s as bitmask rows: bit q of row p
     is set iff edges p and q interleave."""
+    edges = list(map(tuple, edges))  # plain tuples unpack on CPython's fast path
     adj = [0] * len(edges)
     for p, (a, b) in enumerate(edges):
         for q in range(p + 1, len(edges)):
@@ -256,11 +257,14 @@ class CrossingUniverse:
 
     Bit p is `edges[p]` (sorted) and `adj[p]` marks the edges crossing it.
     Group i owns the bits `members[i]`, and `through_rep[i]` marks the edges
-    crossing its representative, the first edge listed for it.
+    crossing its representative, the first edge listed for it.  Each of
+    `symmetries` (rotations of the surface) maps group i to group
+    `sigma[i]` with as many members, and a result of `maximal_sets` to a
+    result; with the identity they form a group.
     """
 
-    def __init__(self, k: int, groups, own_blocks: bool):
-        self.k, self.own_blocks = k, own_blocks
+    def __init__(self, k: int, groups, own_blocks: bool, symmetries=()):
+        self.k, self.own_blocks, self.symmetries = k, own_blocks, list(symmetries)
         self.edges = sorted(e for group in groups for e in group)
         position = {e: p for p, e in enumerate(self.edges)}
         self.adj = crossing_rows(self.edges)
@@ -327,7 +331,8 @@ class CrossingUniverse:
           set, so it may only be passed where the complex is pure: for the
           polygon at every k (Nakamigawa; Dress-Koolen-Moulton), and for
           the cylinder at k=2 (this paper).  Including and excluding are
-          then also cut once fewer than `size` members stay possible, and a
+          then also cut once fewer than `size` members stay possible (the
+          seed included, so a seed too small searches nothing), and a
           leaf is kept without the test above: it is crossing-free with
           `size` members, and every crossing-free set extends to a maximal
           one of that size.
@@ -337,6 +342,24 @@ class CrossingUniverse:
           below g's least member they agree, and the later, being maximal
           and so no subset of the earlier, has a member above it.  The cuts
           only drop subtrees without a result, so the order stays.
+        - The lex-leader cut (Crawford-Ginsberg-Luks-Roy, "Symmetry-breaking
+          predicates for search problems", KR 1996) keeps one result per
+          orbit of the `symmetries`: an inclusion is cut when, for some
+          symmetry, the lowest group where picked and its image differ is
+          the image's.  That group is decided: had they agreed on the
+          decided groups, the image, as large as picked, would equal it.
+          Every result below keeps picked on the decided groups and only
+          adds to the image, so it has an image earlier in search order.  A
+          rotation permutes the groups and preserves crossings (on the
+          cover, those of the whole lift), member counts and both leaf
+          tests, so the image of a result is a result, and the first of
+          each orbit in search order has no earlier image and is never cut.
+          The cut uses no purity theorem.
+          Each kept result is then expanded into its orbit, and the masks,
+          de-duplicated, are sorted into search order: descending order of
+          the bit-reversed masks, since the mask holding the lowest differing
+          group comes first.  So the list is the one the search without the
+          cut returns.
         Every `has_clique` call goes through this module's global.
         """
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
@@ -348,10 +371,23 @@ class CrossingUniverse:
         hits = [[(members[j], rows[j], [adj[m] for m in bits(members[i] & rows[j])])
                  for j in range(i + 1, count) if rows[j] & members[i]]
                 for i in range(count)]
+        # keep[i]: at k=1 one member of i crossing a later representative
+        # blocks that group by itself, so including i drops those at once.
+        keep = [-1] * count
+        if k == 1:
+            keep = [~sum(later for later, _, _ in hit) for hit in hits]
+            hits = [[]] * count
+        # The lex-leader cut: field s of a packed int, `width` bits with a
+        # guard bit on top, holds the image of picked under symmetry s.
+        width = count + 1
+        copies = sum(1 << s * width for s in range(len(self.symmetries)))
+        image_of = [sum(1 << s * width + sigma[i] for s, sigma in enumerate(self.symmetries))
+                    for i in range(count)]
+        guard = copies << count
         found: list[int] = []
 
         # `unblocked`: the groups excluded while still in `possible`.
-        def rec(i: int, picked: int, lift: int, possible: int, unblocked: int):
+        def rec(i: int, picked: int, image: int, lift: int, possible: int, unblocked: int):
             if i == count:
                 if size is None:
                     for j in (bits(unblocked) if self.own_blocks else range(count)):
@@ -362,25 +398,54 @@ class CrossingUniverse:
                 return
             group = members[i]
             if possible & group:
-                grown, alive = lift | group, possible
-                for later, row, crossing in hits[i]:
-                    if alive & later:
-                        within = row & (grown | later)
-                        for through in crossing:
-                            if has_clique(adj, k - 1, within=within & through):
-                                alive &= ~later
-                                break
-                if alive.bit_count() >= floor:
-                    rec(i + 1, picked | 1 << i, grown, alive, unblocked)
+                chosen, grown_image = picked | 1 << i, image | image_of[i]
+                # In each field, the lowest bit where chosen and its image
+                # differ, or the guard where they agree.
+                differ = chosen * copies ^ grown_image | guard
+                if not differ & ~(differ - copies) & grown_image:
+                    grown, alive = lift | group, possible & keep[i]
+                    for later, row, crossing in hits[i]:
+                        if alive & later:
+                            within = row & (grown | later)
+                            for through in crossing:
+                                if has_clique(adj, k - 1, within=within & through):
+                                    alive &= ~later
+                                    break
+                    if alive.bit_count() >= floor:
+                        rec(i + 1, chosen, grown_image, grown, alive, unblocked)
                 possible &= ~group
                 if possible.bit_count() < floor or not has_clique(
                         adj, k, within=rows[i] & (possible | own[i])):
                     return
                 unblocked |= 1 << i
-            rec(i + 1, picked, lift, possible, unblocked)
+            rec(i + 1, picked, image, lift, possible, unblocked)
 
-        rec(0, 0, 0, self.lift(i for i in range(count) if not self.blocked(i, 0)), 0)
-        return found
+        seed = self.lift(i for i in range(count) if not self.blocked(i, 0))
+        if seed.bit_count() >= floor:
+            rec(0, 0, 0, 0, seed, 0)
+        return _orbits(found, image_of, copies) if copies else found
+
+
+def _orbits(leaders: list[int], image_of: list[int], copies: int) -> list[int]:
+    """Every image of the leaders under the symmetries, read off per-byte
+    tables of packed images, in search order (`maximal_sets`)."""
+    count = len(image_of)
+    tables = []
+    for c in range(0, count, 8):
+        table = [0] * (1 << min(8, count - c))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | image_of[c + low.bit_length() - 1]
+        tables.append(table)
+    field, shifts = (1 << count) - 1, range(0, copies.bit_length(), count + 1)
+    found = set(leaders)
+    for picked in leaders:
+        packed, rest = 0, picked
+        for table in tables:
+            packed |= table[rest & 255]
+            rest >>= 8
+        found.update(packed >> s & field for s in shifts)
+    return sorted(found, reverse=True, key=lambda m: int(f"{m:0{count}b}"[::-1], 2))
 
 
 class LiftUniverse(CrossingUniverse):
@@ -393,8 +458,11 @@ class LiftUniverse(CrossingUniverse):
                         for a in range(n) for b in range(a + k + 1, a + k * n + 1)]
         self.index = {c: i for i, c in enumerate(self.classes)}
         window = sorted(window_translations(k), key=abs)  # the rep first
+        # Rotation of C_n by d: ~[a, b] -> ~[a+d, b+d].
+        rotations = [[self.index[edge_class_of(c.rep.shifted(d), n)] for c in self.classes]
+                     for d in range(1, n)]
         super().__init__(k, [[c.translate(t) for t in window] for c in self.classes],
-                         own_blocks=True)
+                         own_blocks=True, symmetries=rotations)
         self.translates = self.members
 
     def indices(self, classes) -> list[int]:

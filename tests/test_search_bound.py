@@ -170,10 +170,10 @@ def count_has_clique(run) -> Counter:
 
 
 # The bound on the search's `has_clique` calls sits above the counts of
-# forward checking as the one blocked test (4,998, 5,586 and 3,972; one call
-# per member of the included group crossing a representative, and at a
-# cylinder leaf only the groups not found blocked) and below those of the
-# search that also tested each group on inclusion (24,554, 9,163 and 11,780).
+# forward checking as the one blocked test (556, 2,373 and 512 with the
+# lex-leader cut and no 0-clique test at k=1; 4,998, 5,586 and 3,972
+# without either) and below those of the search that also tested each
+# group on inclusion (24,554, 9,163 and 11,780).
 @pytest.mark.parametrize("enumerate_,surface,bound",
                          [(enumerate_polygon, polygon(10, 1), 10_000),
                           (enumerate_cylinder, cylinder(4, 2), 6_000),
@@ -206,6 +206,22 @@ def test_leaf_test_skips_groups_found_blocked():
     groups that forward checking found blocked: C_6 at k=1 makes 3,972
     calls, where testing every absent group made 7,936."""
     assert count_has_clique(lambda: enumerate_cylinder(cylinder(6, 1))).total() <= 6_000
+
+
+def test_lex_leader_cut_searches_one_result_per_orbit():
+    """The 11-gon at k=3 has 4,719 triangulations in 429 rotation orbits:
+    the search keeping one result per orbit makes 18,304 `has_clique`
+    calls, where the one visiting every result made 91,684."""
+    assert count_has_clique(lambda: enumerate_polygon(polygon(11, 3))).total() <= 45_000
+
+
+@pytest.mark.parametrize("enumerate_,surface", [(enumerate_polygon, polygon(10, 1)),
+                                                (enumerate_cylinder, cylinder(6, 1))],
+                         ids=["polygon-10-1", "cylinder-6-1"])
+def test_k1_inclusion_makes_no_clique_test(enumerate_, surface):
+    """At k=1 a member of the included group crossing a later
+    representative blocks that group by itself: no 0-clique is looked for."""
+    assert 0 not in count_has_clique(lambda: enumerate_(surface))
 
 
 def test_seed_drops_groups_blocked_by_their_own_members():

@@ -9,6 +9,8 @@ search of `CrossingUniverse.maximal_sets` and must return the same list.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import SHIFT_INVARIANT_COUNTS
@@ -16,12 +18,15 @@ from multitri import (
     Edge,
     PolygonTriangulation,
     SurfaceDesc,
+    enumerate_polygon,
     enumerate_shift_invariant,
     has_k_plus_1_crossing,
     polygon,
     relevant_candidates,
     short_edges,
+    validate_polygon_triangulation,
 )
+from multitri.polygon import ENUMERATION_BUDGET
 from multitri.surfaces import POLYGON
 
 
@@ -90,3 +95,39 @@ def test_shift_must_divide_n():
             enumerate_shift_invariant(polygon(12, 2), shift)
     assert enumerate_shift_invariant(polygon(12, 2), -3) == enumerate_shift_invariant(
         polygon(12, 2), 3)
+
+
+# Every proper divisor shift of every n inside the enumeration budget; shift
+# n is `enumerate_polygon`, checked against Catalan-Hankel and the oracle
+# in test_search_bound.
+BUDGET_SHIFTS = [(n, k, shift) for k, top in ENUMERATION_BUDGET.items()
+                 for n in range(3, top + 1) for shift in range(1, n) if n % shift == 0]
+
+
+@pytest.mark.parametrize("n,k,shift", BUDGET_SHIFTS)
+def test_every_shift_invariant_result_validates(n, k, shift):
+    """A search whose seed holds too few members for a triangulation finds
+    nothing: at shift 1 every relevant orbit holds a crossing of its own."""
+    for t in enumerate_shift_invariant(polygon(n, k), shift):
+        validate_polygon_triangulation(t)
+
+
+def rotation_orbit_count(found, n: int) -> int:
+    """The number of rotation orbits among the triangulations, each named by
+    its least rotated edge tuple."""
+    def rotated(edges, d):
+        return tuple(sorted(Edge((a + d) % n, (b + d) % n) for a, b in edges))
+    return len({min(rotated(t.edges, d) for d in range(n)) for t in found})
+
+
+@pytest.mark.parametrize("n,k,orbits", [(10, 1, 150), (9, 2, 66), (10, 2, 491), (11, 3, 429)])
+def test_burnside_counts_rotation_orbits(n, k, orbits):
+    """Cauchy-Frobenius: the rotation orbits of the k-triangulations of the
+    n-gon number (1/n) times the sum over d = 1..n of the triangulations
+    invariant under rotation by d, which are those invariant under gcd(d, n).
+    This ties the shift search to the full enumeration, whose search keeps
+    one result per rotation orbit and expands it."""
+    assert rotation_orbit_count(enumerate_polygon(polygon(n, k)), n) == orbits
+    fixed = sum(len(enumerate_shift_invariant(polygon(n, k), math.gcd(d, n)))
+                for d in range(1, n + 1))
+    assert fixed == orbits * n
