@@ -29,7 +29,7 @@ from .cylinder import (
 from .errors import LengthPrecondition, NotInTriangulation, NotRelevant, StructureViolation
 from .pipedreams import BUMP, CHEVRON, _bump_crossings, _canonical_geometry, _fill, cell_edge
 from .polygon import _bisectors, _sole_bisector, make_star
-from .surfaces import EdgeClass, cylinder, edge_class_of, is_periodic_crossing_free
+from .surfaces import EdgeClass, cylinder, edge_class_of, lift_universe
 
 
 def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass,
@@ -106,7 +106,10 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
             f"flip backends disagree on {e}: stars give {f_stars}, "
             f"chevron gives {f_chevron}")
     classes = tuple(sorted(present - {e} | {f_stars}))
-    if not is_periodic_crossing_free(classes, k, t.surface.n):
+    # phi(t) has checked t's classes, and f is canonical, of period n, at
+    # most kn long and not in t, so the new list needs no `_check_classes`.
+    universe = lift_universe(t.surface.n, k)
+    if not universe.crossing_free([universe.index[c] for c in classes if c.length > k]):
         raise StructureViolation(f"flip of {e} to {f_stars} created a crossing")
     return CylinderTriangulation(t.surface, classes), f_stars
 

@@ -161,29 +161,41 @@ def sorted_unions(fixed, groups, picks) -> list[tuple]:
     """For each mask of group indices in `picks`, the sorted tuple of the
     items of `fixed` and of the picked groups (all distinct).
 
-    Every item is ranked once; a group is then the mask of its items' ranks,
-    and a result is read off the union of its masks in rank order, with no
-    comparison of items per result.
+    Every item is ranked once, the lowest on the highest bit; a group is
+    then the mask of its items' ranks, and the binary digits of a result's
+    union of masks select its items in rank order, with no comparison of
+    items per result.
     """
     ranked = sorted(itertools.chain(fixed, *groups))
-    rank = {x: r for r, x in enumerate(ranked)}
+    top = len(ranked) - 1
+    rank = {x: top - r for r, x in enumerate(ranked)}
     base = sum(1 << rank[x] for x in fixed)
-    table = [sum(1 << rank[x] for x in group) for group in groups]
-    # Masks are read four ranks at a time: quads[c][v] holds the items
-    # ranked 4c..4c+3 whose bits are set in v.
-    quads = [[tuple(x for j, x in enumerate(ranked[c:c + 4]) if v >> j & 1) for v in range(16)]
-             for c in range(0, len(ranked), 4)]
-    found = []
-    for picked in picks:
-        mask = base
-        for i in bits(picked):
-            mask |= table[i]
-        items: tuple = ()
-        for quad in quads:
-            items += quad[mask & 15]
-            mask >>= 4
-        found.append(items)
-    return found
+    union = _union_of([sum(1 << rank[x] for x in group) for group in groups])
+    digits, selectors = f"0{len(ranked)}b", bytes.maketrans(b"01", b"\0\1")
+    # A list first: a tuple grown from the iterator resizes as it goes.
+    return [tuple([*itertools.compress(
+                ranked, format(base | union(picked), digits).encode().translate(selectors))])
+            for picked in picks]
+
+
+def _union_of(values: list[int]):
+    """The map from a mask over the indices of `values` to the OR of the
+    values it picks, read off per-byte tables, one entry per byte."""
+    tables = []
+    for c in range(0, len(values), 8):
+        table = [0] * (1 << min(8, len(values) - c))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | values[c + low.bit_length() - 1]
+        tables.append(table)
+
+    def union(mask: int) -> int:
+        found = 0
+        for table in tables:
+            found |= table[mask & 255]
+            mask >>= 8
+        return found
+    return union
 
 
 def has_clique(adj: list[int], size: int, within: int | None = None) -> bool:
@@ -427,23 +439,13 @@ class CrossingUniverse:
 
 
 def _orbits(leaders: list[int], image_of: list[int], copies: int) -> list[int]:
-    """Every image of the leaders under the symmetries, read off per-byte
-    tables of packed images, in search order (`maximal_sets`)."""
-    count = len(image_of)
-    tables = []
-    for c in range(0, count, 8):
-        table = [0] * (1 << min(8, count - c))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | image_of[c + low.bit_length() - 1]
-        tables.append(table)
+    """Every image of the leaders under the symmetries, read off the packed
+    images (`_union_of`), in search order (`maximal_sets`)."""
+    count, union = len(image_of), _union_of(image_of)
     field, shifts = (1 << count) - 1, range(0, copies.bit_length(), count + 1)
     found = set(leaders)
     for picked in leaders:
-        packed, rest = 0, picked
-        for table in tables:
-            packed |= table[rest & 255]
-            rest >>= 8
+        packed = union(picked)
         found.update(packed >> s & field for s in shifts)
     return sorted(found, reverse=True, key=lambda m: int(f"{m:0{count}b}"[::-1], 2))
 

@@ -28,6 +28,8 @@ from multitri.errors import (
     StructureViolation,
 )
 
+from multitri import flips
+
 from conftest import CYLINDER_COUNTS_K2, make_cylinder_triangulation
 
 
@@ -74,6 +76,22 @@ def test_flip_rejects_a_class_longer_than_kn():
         t.surface, tuple(sorted(alias if c == short else c for c in t.classes)))
     with pytest.raises(EdgeTooLong):
         orbit_flip(probe, edge_class_of(Edge(0, 4), 3))
+
+
+def test_flip_rejects_agreeing_backends_naming_a_crossing_class(t_left, monkeypatch):
+    """The final lift check stays: when both backends name the same absent
+    class that is not the flip, t minus e plus it crosses, and the flip
+    raises rather than returning a non-triangulation."""
+    e = edge_class_of(Edge(1, 6), 3)
+    _, f = orbit_flip(t_left, e)
+    wrong = next(c for c in relevant_class_candidates(3, 2)
+                 if c not in t_left.class_set() and c != f)
+    rest = [c for c in t_left.classes if c != e]
+    assert not is_periodic_crossing_free(rest + [wrong], 2, 3)
+    monkeypatch.setattr(flips, "_flip_via_stars", lambda *args: wrong)
+    monkeypatch.setattr(flips, "_flip_via_chevron", lambda *args: wrong)
+    with pytest.raises(StructureViolation, match="created a crossing"):
+        orbit_flip(t_left, e)
 
 
 def test_every_flip_is_unique_alternative():

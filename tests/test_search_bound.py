@@ -8,7 +8,7 @@ the same list; `test_forward_checking_matches_oracle` compares the two
 searches mask for mask, with and without the size.  The largest budget
 instances are too slow for the oracle and are checked against the
 Catalan-Hankel counts instead; the largest, the 81,796 triangulations of
-the 12-gon at k=3, took 2.8-3.5 s and 60 MB peak RSS to enumerate (two
+the 12-gon at k=3, took 0.8-1.0 s and 65 MB peak RSS to enumerate (three
 runs on a shared 2-vCPU host).
 
 The enumerators return the search order without a final sort; the tests
@@ -203,7 +203,7 @@ def test_forward_checking_looks_through_the_included_group():
 
 def test_leaf_test_skips_groups_found_blocked():
     """With `own_blocks`, the leaf test of the leaf-check search skips the
-    groups that forward checking found blocked: C_6 at k=1 makes 3,972
+    groups that forward checking found blocked: C_6 at k=1 makes 512
     calls, where testing every absent group made 7,936."""
     assert count_has_clique(lambda: enumerate_cylinder(cylinder(6, 1))).total() <= 6_000
 
