@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from .cylinder import CylinderTriangulation, stars_of
 from .errors import NotPeriodic, StructureViolation
-from .polygon import PolygonTriangulation, _rotation_orbit, _unshifted, expected_edge_count
+from .polygon import (
+    PolygonTriangulation, _rotation_orbit, _unshifted, all_edges, expected_edge_count)
 from .surfaces import (
     Edge,
     EdgeClass,
@@ -71,10 +72,7 @@ def orbit_of_class(c: EdgeClass, k: int) -> list[Edge]:
     return _rotation_orbit(*c.rep, c.n, 2 * k * c.n)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _polygon_edges(m: int) -> list[Edge]:
-    """The edges of the m-gon in sorted order, the p-th at position p of a mask."""
-    return [Edge(a, b) for a in range(m) for b in range(a + 1, m)]
+_polygon_edges = functools.lru_cache(maxsize=_CACHE_SIZE)(all_edges)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

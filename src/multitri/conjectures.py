@@ -47,16 +47,16 @@ def stars_containing_angle(t: CylinderTriangulation, angle) -> list:
 
 def check_star_decomposition_k(n: int, k: int) -> dict:
     """Does every relevant angle sit in a (unique) contained k-star?"""
-    return _star_decomposition_report(n, k, enumerate_cylinder(cylinder(n, k)))
+    triangulations = enumerate_cylinder(cylinder(n, k))
+    return _star_decomposition_report(n, k, triangulations, map(_cover_stars, triangulations))
 
 
-def _star_decomposition_report(n: int, k: int, triangulations) -> dict:
+def _star_decomposition_report(n: int, k: int, triangulations, cover_stars) -> dict:
     surface = cylinder(n, k)
     checked = held = 0
     failures = []
     multiple = []
-    for idx, t in enumerate(triangulations):
-        stars = _cover_stars(t)
+    for idx, (t, stars) in enumerate(zip(triangulations, cover_stars)):
         for angle in find_angles(t):
             if not angle.relevant:
                 continue
@@ -144,17 +144,18 @@ def _bijection_report(n: int, k: int, cyl) -> dict:
 
 def check_counts_k(n: int, k: int) -> dict:
     """Observed (stars, relevant, total) against (n-1, k(n-1), k(2n-1))."""
-    return _counts_report(n, k, enumerate_cylinder(cylinder(n, k)))
+    triangulations = enumerate_cylinder(cylinder(n, k))
+    return _counts_report(n, k, triangulations, map(_cover_stars, triangulations))
 
 
-def _counts_report(n: int, k: int, triangulations) -> dict:
+def _counts_report(n: int, k: int, triangulations, cover_stars) -> dict:
     expected = (n - 1, k * (n - 1), k * (2 * n - 1))
     mismatches = []
     count = 0
-    for idx, t in enumerate(triangulations):
+    for idx, (t, stars) in enumerate(zip(triangulations, cover_stars)):
         count += 1
         observed = (
-            len(_cover_stars(t)),
+            len(stars),
             len(t.relevant_classes()),
             len(t.classes),
         )
@@ -229,9 +230,12 @@ def _translation_report(n: int, k: int, triangulations) -> dict:
             if not qualifying:
                 vacuous += 1
                 continue
+            # One replacement search per doubled class: it reads nothing else.
+            replaced = {c: find_single_translate_replacement(classes, c, n, k)
+                        for c in {c for c, *_ in qualifying}}
             for (c, e1, e2, third) in qualifying:
                 triples += 1
-                if find_single_translate_replacement(classes, c, n, k) is not None:
+                if replaced[c] is not None:
                     held += 1
                 else:
                     def still_fails(subset, c=c):
@@ -264,13 +268,15 @@ def run_all_checks(n: int, k: int) -> dict:
 
     The translation lemma is k=2-specific and is skipped (with a note)
     for other k, and so is the bijection at C_1, k=1, whose 2kn-gon would
-    be a 2-gon.  C_n is enumerated once and shared by the checks.
+    be a 2-gon.  C_n is enumerated once and shared by the checks, and so
+    are the stars of each triangulation, searched once.
     """
     triangulations = enumerate_cylinder(cylinder(n, k))
+    stars = [_cover_stars(t) for t in triangulations]
     reports = {
-        "star_decomposition": _star_decomposition_report(n, k, triangulations),
+        "star_decomposition": _star_decomposition_report(n, k, triangulations, stars),
         "bijection": _bijection_report(n, k, triangulations),
-        "counts": _counts_report(n, k, triangulations),
+        "counts": _counts_report(n, k, triangulations, stars),
     }
     if k == 2:
         reports["translation_lemma"] = _translation_report(n, k, triangulations)

@@ -437,20 +437,17 @@ def chevron_stages(p: PipeDream) -> dict:
 def chevron_from_staircase(p: PipeDream) -> PipeDream:
     """The last stage of `chevron_stages`.  When p is a staircase
     `staircase_from_triangulation` could have made (the canonical cells in
-    order, J elbows on the gap-k diagonal and boxes elsewhere), the chevron
-    is `_fill`ed from the edges of p's bumps.  Its forced short edges are
-    checked as in `chevron_stages`."""
+    order, J elbows on the gap-k diagonal, bumps on the gap m-k one and
+    boxes elsewhere), the chevron is `_fill`ed from the edges of p's bumps.
+    Any other staircase goes through `chevron_stages`, whose forced-edge
+    check then meets the first offending cell in the same order."""
     _check_chevron_input(p)
     staircase = _canonical_for(p)
     if staircase is not None:
         kinds = list(p.tiles.values())
-        for i in staircase.forced:
-            if kinds[i] != BUMP:
-                raise StructureViolation(
-                    f"cell {staircase.cells[i]} should hold a forced short edge, "
-                    f"found {kinds[i]}")
         elbows = staircase.elbows
         if (all(kinds[i] == kind for i, kind in elbows)
+                and all(kinds[i] == BUMP for i in staircase.forced)
                 and kinds.count(BUMP) + kinds.count(CROSS) == len(kinds) - len(elbows)):
             chevron = _canonical_geometry(CHEVRON, p.m, p.k)
             bumps = {end for end, kind in zip(staircase.ends, kinds) if kind == BUMP}

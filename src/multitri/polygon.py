@@ -352,13 +352,15 @@ def _unshifted(edges, shift: int, m: int) -> Edge | None:
 def enumerate_shift_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangulation]:
     """All k-triangulations invariant under vertex rotation by `shift`.
 
-    The same search as enumerate_polygon, over whole rotation orbits of
-    relevant edges; there are far fewer of them, which keeps gons of size
-    beyond the plain enumeration budget reachable.  Maximality is still
-    checked against single absent edges.
+    The same search as enumerate_polygon over the far fewer rotation orbits
+    of relevant edges, so gons past its budget stay reachable; at shift n it
+    is `enumerate_polygon`, budget and all.  Maximality is still checked
+    edge by edge.
     """
     if surface.kind != POLYGON:
         raise ValueError("enumerate_shift_invariant needs a polygon surface")
     if shift == 0 or surface.n % shift:
         raise ValueError(f"shift {shift} does not divide {surface.n}")
+    if abs(shift) == surface.n:
+        return enumerate_polygon(surface)
     return _rotation_invariant(surface, shift)

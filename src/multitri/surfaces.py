@@ -439,15 +439,15 @@ class CrossingUniverse:
 
 
 def _orbits(leaders: list[int], image_of: list[int], copies: int) -> list[int]:
-    """Every image of the leaders under the symmetries, read off the packed
-    images (`_union_of`), in search order (`maximal_sets`)."""
+    """Every image of the leaders under the symmetries, in search order
+    (`maximal_sets`); images and bit reversals are read by `_union_of`."""
     count, union = len(image_of), _union_of(image_of)
     field, shifts = (1 << count) - 1, range(0, copies.bit_length(), count + 1)
     found = set(leaders)
     for picked in leaders:
         packed = union(picked)
         found.update(packed >> s & field for s in shifts)
-    return sorted(found, reverse=True, key=lambda m: int(f"{m:0{count}b}"[::-1], 2))
+    return sorted(found, reverse=True, key=_union_of([1 << count - 1 - i for i in range(count)]))
 
 
 class LiftUniverse(CrossingUniverse):

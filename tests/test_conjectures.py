@@ -89,6 +89,25 @@ def test_translation_lemma_control():
                 rep["triples_held"]) == counters[n]
 
 
+@pytest.mark.parametrize("n,searches,counters", [
+    (2, 16, (8, 0, 312, 312)), (3, 570, (288, 36, 13544, 13544))])
+def test_translation_lemma_searches_once_per_set_and_class(monkeypatch, n, searches, counters):
+    """One replacement search per (extended set, doubled class), not one per
+    qualifying triple; every triple is still counted."""
+    searched = []
+    search = conjectures.find_single_translate_replacement
+
+    def spied(classes, doubled, n, k):
+        searched.append((tuple(classes), doubled))
+        return search(classes, doubled, n, k)
+
+    monkeypatch.setattr(conjectures, "find_single_translate_replacement", spied)
+    rep = check_translation_lemma(n, 2)
+    assert len(searched) == len(set(searched)) == searches
+    assert (rep["sets_checked"], rep["vacuous_sets"], rep["triples_checked"],
+            rep["triples_held"]) == counters
+
+
 def test_translation_lemma_k2_only():
     with pytest.raises(LengthPrecondition):
         check_translation_lemma(2, 3)
@@ -172,6 +191,18 @@ def test_run_all_checks_enumerates_once(monkeypatch, n, k):
     assert len(calls) == 1
     text = json.dumps(bundle, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLE_SHA256[n, k]
+
+
+def test_run_all_checks_searches_stars_once_per_triangulation(monkeypatch):
+    """The star-decomposition and counts reports share one cover star search
+    per triangulation (216 at C_3, k=3)."""
+    searched = []
+    search = conjectures._cover_stars
+    monkeypatch.setattr(conjectures, "_cover_stars", lambda t: searched.append(t) or search(t))
+    bundle = run_all_checks(3, 3)
+    assert len(searched) == len(set(searched)) == 216
+    text = json.dumps(bundle, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUNDLE_SHA256[3, 3]
 
 
 def test_run_all_checks_reports_match_the_public_checks():

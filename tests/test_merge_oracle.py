@@ -7,8 +7,8 @@ search's leaders through the same tables; its oracle closes each leader
 under the universe's rotations one group index at a time and sorts the
 masks by their bit-reversed value, descending.  Both are compared on every
 enumerator instance of the budget, multi-member groups included (the shift
-searches), and `sorted_unions` also on hand-built cases around the byte
-boundaries of the tables.
+searches), and on hand-built cases around the byte boundaries of the
+tables.
 """
 
 from __future__ import annotations
@@ -152,6 +152,21 @@ def test_sorted_unions_across_byte_boundaries(count):
     fixed, groups, picks = hand_built(count, seed=count)
     assert sorted_unions(fixed, groups, picks) == oracle_sorted_unions(fixed, groups, picks)
     assert sorted_unions([], groups, picks) == oracle_sorted_unions([], groups, picks)
+
+
+@pytest.mark.parametrize("count", [7, 8, 9, 16, 17])
+def test_orbits_across_byte_boundaries(count):
+    """The rotations of `count` groups by one step and its powers, packed as
+    `maximal_sets` packs them; the step moves the top group onto group 0."""
+    symmetries = [[(i + s) % count for i in range(count)] for s in range(1, count)]
+    width = count + 1
+    copies = sum(1 << s * width for s in range(len(symmetries)))
+    image_of = [sum(1 << s * width + sigma[i] for s, sigma in enumerate(symmetries))
+                for i in range(count)]
+    rng, top = random.Random(count), 1 << count - 1
+    leaders = [top, (1 << count) - 1] + [rng.getrandbits(count) | top for _ in range(20)]
+    assert (surfaces._orbits(leaders, image_of, copies)
+            == oracle_orbits(leaders, symmetries, count))
 
 
 def test_sorted_unions_edge_cases():

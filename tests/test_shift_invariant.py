@@ -18,6 +18,7 @@ from multitri import (
     Edge,
     PolygonTriangulation,
     SurfaceDesc,
+    TooLarge,
     enumerate_polygon,
     enumerate_shift_invariant,
     has_k_plus_1_crossing,
@@ -27,7 +28,7 @@ from multitri import (
     validate_polygon_triangulation,
 )
 from multitri.polygon import ENUMERATION_BUDGET
-from multitri.surfaces import POLYGON
+from multitri.surfaces import POLYGON, CrossingUniverse
 
 
 def oracle_shift_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangulation]:
@@ -95,6 +96,20 @@ def test_shift_must_divide_n():
             enumerate_shift_invariant(polygon(12, 2), shift)
     assert enumerate_shift_invariant(polygon(12, 2), -3) == enumerate_shift_invariant(
         polygon(12, 2), 3)
+
+
+@pytest.mark.parametrize("k", sorted(ENUMERATION_BUDGET))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_shift_n_keeps_the_polygon_budget(monkeypatch, k, sign):
+    """Shift n is the plain enumeration, so it is refused past the plain
+    budget before any universe is built."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a crossing universe")
+
+    monkeypatch.setattr(CrossingUniverse, "__init__", refuse)
+    n = ENUMERATION_BUDGET[k] + 1
+    with pytest.raises(TooLarge, match=f"budget is n <= {n - 1} for k={k}, got n={n}"):
+        enumerate_shift_invariant(polygon(n, k), sign * n)
 
 
 # Every proper divisor shift of every n inside the enumeration budget; shift
