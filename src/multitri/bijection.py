@@ -7,9 +7,9 @@ below kn land on orbits of 2k polygon edges, the spanning class on an
 orbit of k.
 
 `phi` is integer work on two tables built on first use.  Per m: the
-edges of the m-gon in sorted order, the p-th being (a, b) with
-p = a(2m-a-1)/2 + b-a-1, so a set of edges is a bitmask over positions
-and reading its bits lowest first gives the sorted tuple.  Per (n, k):
+edges of the m-gon in sorted order, `polygon.all_edges`, so a set of
+edges is a bitmask over their positions and reading its bits lowest
+first gives the sorted tuple.  Per (n, k):
 the orbit mask of every class of length at most kn, and the mask of the
 edges of cyclic length above k.  Both are exact, being the orbits and
 lengths of the definitions computed once; each is an lru_cache of
@@ -24,11 +24,12 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cylinder import CylinderTriangulation, stars_of
+from .cylinder import CylinderTriangulation, expected_class_count, stars_of
 from .errors import NotPeriodic, StructureViolation
 from .polygon import (
     PolygonTriangulation, _rotation_orbit, _unshifted, all_edges, expected_edge_count)
 from .surfaces import (
+    _CACHE_SIZE,
     Edge,
     EdgeClass,
     _check_classes,
@@ -39,9 +40,6 @@ from .surfaces import (
     edge_class_of,
     polygon,
 )
-
-# Per-m edge tables and per-(n, k) orbit tables kept.
-_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -81,10 +79,10 @@ def _wrap_table(n: int, k: int) -> tuple[dict[Edge, int], int]:
     its representative, and the mask of the 2kn-gon's edges of cyclic
     length above k."""
     m = 2 * k * n
-    orbits = {Edge(a, b): sum(1 << (c * (2 * m - c - 1) // 2 + d - c - 1)
-                              for c, d in _rotation_orbit(a, b, n, m))
+    position = {e: p for p, e in enumerate(_polygon_edges(m))}
+    orbits = {Edge(a, b): sum(1 << position[e] for e in _rotation_orbit(a, b, n, m))
               for a in range(n) for b in range(a + 1, a + k * n + 1)}
-    longs = sum(1 << p for p, e in enumerate(_polygon_edges(m)) if cyclic_length(e, m) > k)
+    longs = sum(1 << p for e, p in position.items() if cyclic_length(e, m) > k)
     return orbits, longs
 
 
@@ -142,15 +140,20 @@ def phi_inverse(p: PeriodicPolygonTriangulation) -> CylinderTriangulation:
     return t
 
 
+def _count_law(n: int, k: int) -> CountReport:
+    """The counts of every k-triangulation of C_n: n-1 stars, k(n-1)
+    relevant classes and k(2n-1) classes in all."""
+    return CountReport(n - 1, k * (n - 1), expected_class_count(n, k))
+
+
 def count_report(t: CylinderTriangulation) -> CountReport:
     """Star, relevant-class and total-class counts, checked against the law."""
-    n, k = t.surface.n, t.surface.k
     report = CountReport(
         stars=len(stars_of(t)),
         relevant=len(t.relevant_classes()),
         total=len(t.classes),
     )
-    expected = CountReport(n - 1, k * (n - 1), k * (2 * n - 1))
+    expected = _count_law(t.surface.n, t.surface.k)
     if report != expected:
         raise StructureViolation(f"counts {report} do not match {expected}")
     return report

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bijection import count_report, phi
+from .bijection import _count_law, count_report, phi
 from .complexes import analyze_complex, complex_report_json
 from .conjectures import run_all_checks
 from .cylinder import CylinderTriangulation, enumerate_cylinder
@@ -34,14 +34,6 @@ from .polygon import enumerate_polygon, validate_polygon_triangulation
 from .surfaces import Edge, cylinder, edge_class_of, polygon
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load_input(path: str):
     with open(path) as handle:
         return parse_triangulation(json.load(handle))
@@ -58,15 +50,18 @@ def cmd_enumerate(args) -> int:
         text = f"{len(found)}\n"
     else:
         text = json.dumps([serialize_triangulation(t) for t in found]) + "\n"
-    _emit(text, args.out)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def _verify_counts(n: int) -> int:
     reports = [count_report(t) for t in enumerate_cylinder(cylinder(n, 2))]
-    print(
-        f"{len(reports)} triangulations, every report "
-        f"(stars, relevant, total) = ({n - 1}, {2 * (n - 1)}, {2 * (2 * n - 1)})")
+    print(f"{len(reports)} triangulations, every report "
+          f"(stars, relevant, total) = {tuple(_count_law(n, 2))}")
     print(json.dumps({
         "suite": "counts", "n": n, "k": 2,
         "triangulations": len(reports), "ok": True,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bijection import phi
+from .bijection import _count_law, phi
 from .cylinder import (
     CylinderTriangulation,
     _cover_stars,
@@ -149,7 +149,7 @@ def check_counts_k(n: int, k: int) -> dict:
 
 
 def _counts_report(n: int, k: int, triangulations, cover_stars) -> dict:
-    expected = (n - 1, k * (n - 1), k * (2 * n - 1))
+    expected = _count_law(n, k)
     mismatches = []
     count = 0
     for idx, (t, stars) in enumerate(zip(triangulations, cover_stars)):

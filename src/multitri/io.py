@@ -9,7 +9,7 @@ structural problems inside the library keep their own error types.
 from __future__ import annotations
 
 from .cylinder import CylinderTriangulation
-from .pipedreams import GLYPHS, PipeDream, _geometry
+from .pipedreams import GLYPHS, PipeDream, _box, _geometry
 from .polygon import PolygonTriangulation
 from .surfaces import CYLINDER, POLYGON, Edge, EdgeClass, cylinder, polygon
 
@@ -85,23 +85,15 @@ def serialize_triangulation(t: PolygonTriangulation | CylinderTriangulation) -> 
 
 def grid_lines(tiles: dict) -> list[str]:
     """Bounding-box rows of glyphs, top row first, absent cells dotted."""
-    if not tiles:
-        return []
-    rows = [r for r, _ in tiles]
-    cols = [c for _, c in tiles]
-    lo, hi = min(cols), max(cols)
-    lines = []
-    for r in range(max(rows), min(rows) - 1, -1):
-        lines.append("".join(
-            GLYPHS[tiles[r, c]] if (r, c) in tiles else "."
-            for c in range(lo, hi + 1)))
-    return lines
+    top, left, rows, cols = _box(tiles)
+    return ["".join(GLYPHS[tiles[r, c]] if (r, c) in tiles else "."
+                    for c in range(left, left + cols))
+            for r in range(top, top - rows, -1)]
 
 
 def render_ascii(p: PipeDream) -> str:
-    header = (
-        f"shape={p.shape} n={p.m} k={p.k} "
-        f"row0={max(r for r, _ in p.tiles)} col0={min(c for _, c in p.tiles)}")
+    top, left, _, _ = _box(p.tiles)
+    header = f"shape={p.shape} n={p.m} k={p.k} row0={top} col0={left}"
     return "\n".join([header] + grid_lines(p.tiles)) + "\n"
 
 

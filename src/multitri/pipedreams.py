@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedShape, ShapeMismatch, StructureViolation
 from .polygon import PolygonTriangulation, _rotation_orbit, short_edges
-from .surfaces import Edge, polygon
+from .surfaces import _CACHE_SIZE, Edge, polygon
 
 BUMP = "bump"
 CROSS = "cross"
@@ -71,9 +71,6 @@ _TURNS = {kind: tuple(_SIDES.index(turn[s]) if s in turn else None for s in _SID
 
 TILE = 24
 
-# Canonical geometries kept, per (shape, m, k).
-_CACHE_SIZE = 16
-
 
 @dataclass(frozen=True)
 class PipeDream:
@@ -93,6 +90,18 @@ class PipePath:
 def _neighbor(r: int, c: int, side: str) -> tuple[int, int]:
     dr, dc = _STEP[side]
     return r + dr, c + dc
+
+
+def _box(cells) -> tuple[int, int, int, int]:
+    """The top row, the leftmost column, and the row and column counts of
+    the smallest box holding the cells: the one drawing box of a dream,
+    (0, 0, 0, 0) when there are no cells."""
+    if not cells:
+        return 0, 0, 0, 0
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    top, left = max(rows), min(cols)
+    return top, left, top - min(rows) + 1, max(cols) - left + 1
 
 
 def _tile_paths(x: int, y: int) -> dict[str, list[str]]:
@@ -167,17 +176,14 @@ class _Geometry:
         """The opening SVG tag, then the cells in drawing order (top row
         first, left to right), with each one's fragment per tile kind."""
         cells = self.cells
-        rows = [r for r, _ in cells]
-        cols = [c for _, c in cells]
-        rmax, cmin = max(rows), min(cols)
-        width = (max(cols) - cmin + 1) * TILE
-        height = (rmax - min(rows) + 1) * TILE
+        top, left, rows, cols = _box(cells)
+        width, height = cols * TILE, rows * TILE
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                 f'height="{height}" viewBox="0 0 {width} {height}">')
         order = sorted(range(len(cells)), key=lambda i: (-cells[i][0], cells[i][1]))
         fragments = []
         for i in order:
-            x, y = (cells[i][1] - cmin) * TILE, (rmax - cells[i][0]) * TILE
+            x, y = (cells[i][1] - left) * TILE, (top - cells[i][0]) * TILE
             rect = (f'<rect x="{x}" y="{y}" width="{TILE}" height="{TILE}" '
                     'fill="none" stroke="#ccc" stroke-width="1"/>')
             fragments.append({

@@ -24,6 +24,9 @@ from .errors import EdgeTooLong, StructureViolation
 POLYGON = "polygon"
 CYLINDER = "cylinder"
 
+# Entries kept by each per-size cache: lift universes, m-gon tables, dream geometries.
+_CACHE_SIZE = 16
+
 
 class Edge(tuple):
     """An edge as the vertex pair (a, b), normalized so that a < b: a tuple,
@@ -486,10 +489,10 @@ def _check_classes(classes, n: int, k: int) -> None:
             raise StructureViolation(f"class {c} has period {c.n}, surface has {n}")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def lift_universe(n: int, k: int) -> LiftUniverse:
     """The crossing universe of C_n at order k, built once per (n, k) and
-    shared by every caller, so read-only.
+    shared by every caller, so read-only; the last `_CACHE_SIZE` are kept.
 
     Why a finite window decides crossings on the infinite lift: an edge
     crossing a cover edge [a, b] of length at most kn starts in (a - kn, b).

@@ -3,12 +3,15 @@ polygon triangulations of the 2kn-gon."""
 
 from __future__ import annotations
 
+import ast
+
 import pytest
 
 from multitri import (
     CylinderTriangulation,
     Edge,
     NotPeriodic,
+    check_counts_k,
     class_of_polygon_edge,
     count_report,
     cylinder,
@@ -22,6 +25,7 @@ from multitri import (
     validate_cylinder_triangulation,
 )
 from multitri.bijection import PeriodicPolygonTriangulation
+from multitri.cli import main
 
 from conftest import make_polygon_triangulation
 
@@ -104,3 +108,11 @@ def test_count_report_n5_by_greedy_completion():
     validate_cylinder_triangulation(t)
     rep = count_report(t)
     assert (rep.stars, rep.relevant, rep.total) == (4, 8, 18)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_count_law_agrees_across_cli_lab_and_report(capsys, n):
+    assert main(["verify", "--suite", "counts", "--n", str(n), "--k", "2"]) == 0
+    printed = ast.literal_eval(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
+    assert tuple(check_counts_k(n, 2)["expected"]) == printed
+    assert {tuple(count_report(t)) for t in enumerate_cylinder(cylinder(n, 2))} == {printed}

@@ -136,9 +136,10 @@ def _oracle_tile_paths(kind: str, x: int, y: int) -> list[str]:
 def oracle_render_svg(p: PipeDream) -> str:
     rows = [r for r, _ in p.tiles]
     cols = [c for _, c in p.tiles]
-    rmax, cmin = max(rows), min(cols)
-    width = (max(cols) - cmin + 1) * TILE
-    height = (rmax - min(rows) + 1) * TILE
+    rmax, cmin = max(rows, default=0), min(cols, default=0)
+    # A dream with no cells is drawn in a box of no width and no height.
+    width = (max(cols) - cmin + 1) * TILE if cols else 0
+    height = (rmax - min(rows) + 1) * TILE if rows else 0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

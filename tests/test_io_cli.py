@@ -73,6 +73,24 @@ def test_grid_lines_empty():
     assert grid_lines({}) == []
 
 
+# The polygons with n <= k among n = 3..8, k = 1..5: every edge is forced,
+# so the staircase has no cells.
+NO_CELLS = [(n, k) for n in range(3, 9) for k in range(1, 6) if n <= k]
+
+
+@pytest.mark.parametrize("n,k", NO_CELLS)
+def test_cli_pipedream_draws_a_dream_with_no_cells(tmp_path, capsys, n, k):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"surface": "polygon", "n": n, "k": k, "edges": [
+        [a, b] for a in range(n) for b in range(a + 1, n)]}))
+    assert main(["pipedream", "--input", str(path), "--format", "ascii"]) == 0
+    assert capsys.readouterr().out == f"shape=staircase n={n} k={k} row0=0 col0=0\n"
+    assert main(["pipedream", "--input", str(path), "--format", "svg"]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    assert (root.get("width"), root.get("height")) == ("0", "0")
+    assert len(root) == 0
+
+
 def test_svg_well_formed(worked_12gon):
     text = render_svg(staircase_from_triangulation(worked_12gon))
     root = ET.fromstring(text)

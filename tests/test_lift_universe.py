@@ -29,7 +29,7 @@ from multitri import (
     short_classes,
     validate_cylinder_triangulation,
 )
-from multitri.surfaces import cover_crosses, has_clique, lift_universe
+from multitri.surfaces import _CACHE_SIZE, cover_crosses, has_clique, lift_universe
 
 
 def windowed_crossing_free(classes, k: int, n: int, radius: int) -> bool:
@@ -89,6 +89,17 @@ def test_class_longer_than_kn_raises():
 def test_class_of_another_period_raises():
     with pytest.raises(StructureViolation, match="period 4, surface has 3"):
         is_periodic_crossing_free([edge_class_of(Edge(0, 4), 4)], 2, 3)
+
+
+def test_universe_cache_is_bounded():
+    try:
+        for n in range(1, _CACHE_SIZE + 4):
+            lift_universe(n, 1)
+            info = lift_universe.cache_info()
+            assert info.maxsize == _CACHE_SIZE
+            assert info.currsize <= _CACHE_SIZE
+    finally:
+        lift_universe.cache_clear()
 
 
 def test_universe_bit_order_is_edge_order():

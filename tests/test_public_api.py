@@ -1,4 +1,5 @@
-"""The public names of the package.
+"""The public names of the package, and the standard-library-only imports
+of its modules.
 
 Simplifications keep every name in `multitri.__all__`; a name that goes
 missing or appears fails here, and the literal below is updated only by a
@@ -6,6 +7,10 @@ change that means to alter the public API.
 """
 
 from __future__ import annotations
+
+import ast
+import pathlib
+import sys
 
 import multitri
 
@@ -45,3 +50,16 @@ PUBLIC_NAMES = [
 
 def test_public_names_unchanged():
     assert sorted(multitri.__all__) == PUBLIC_NAMES
+
+
+def test_modules_import_only_the_standard_library():
+    for path in sorted(pathlib.Path(multitri.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
