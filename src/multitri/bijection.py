@@ -93,7 +93,7 @@ def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
     another period or one longer than kn has no image.  The image is
     checked to have the edge count of a k-triangulation, from the orbit
     sizes before any table is built, and no k+1 pairwise crossing edges
-    among its long ones."""
+    among its long ones.  C_1 at k=1 would wrap onto a 2-gon: ValueError."""
     n, k = t.surface.n, t.surface.k
     _check_classes(t.classes, n, k)
     m = 2 * k * n
@@ -104,6 +104,8 @@ def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
     if count != wanted:
         raise StructureViolation(
             f"image has {count} edges, a k-triangulation of the {m}-gon has {wanted}")
+    if m < 3:
+        raise ValueError("C_1 at k=1 wraps onto a 2-gon")
     orbits, longs = _wrap_table(n, k)
     image = 0
     for c in t.classes:

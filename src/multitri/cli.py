@@ -1,7 +1,7 @@
-"""Command-line frontend.
+"""Command-line frontend; commands raise on failure, and `main` picks the exit code.
 
-Exit codes: 0 success, 1 structural/assertion failure (the error name and
-witness go to stderr), 2 usage or malformed input, 3 enumeration budget.
+Exit codes: 0 success, 1 structural/assertion failure (stderr: the error name and
+witness), 2 usage or malformed input (stderr: `error: ...`), 3 enumeration budget.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .bijection import _count_law, count_report, phi
 from .complexes import analyze_complex, complex_report_json
 from .conjectures import run_all_checks
 from .cylinder import CylinderTriangulation, enumerate_cylinder
-from .errors import MultitriError, TooLarge
+from .errors import MultitriError, StructureViolation, TooLarge
 from .flips import build_flip_graph, flip_graph_dot, flip_graph_json, orbit_flip
 from .io import (
     parse_triangulation,
@@ -39,13 +39,12 @@ def _load_input(path: str):
         return parse_triangulation(json.load(handle))
 
 
-def cmd_enumerate(args) -> int:
-    surface = (polygon if args.surface == "polygon" else cylinder)(args.n, args.k)
-    found = (
-        enumerate_polygon(surface)
-        if args.surface == "polygon"
-        else enumerate_cylinder(surface)
-    )
+def cmd_enumerate(args) -> None:
+    build, search = {
+        "polygon": (polygon, enumerate_polygon),
+        "cylinder": (cylinder, enumerate_cylinder),
+    }[args.surface]
+    found = search(build(args.n, args.k))
     if args.format == "count":
         text = f"{len(found)}\n"
     else:
@@ -55,10 +54,9 @@ def cmd_enumerate(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def _verify_counts(n: int) -> int:
+def _verify_counts(n: int) -> None:
     reports = [count_report(t) for t in enumerate_cylinder(cylinder(n, 2))]
     print(f"{len(reports)} triangulations, every report "
           f"(stars, relevant, total) = {tuple(_count_law(n, 2))}")
@@ -66,101 +64,82 @@ def _verify_counts(n: int) -> int:
         "suite": "counts", "n": n, "k": 2,
         "triangulations": len(reports), "ok": True,
     }))
-    return 0
 
 
-def _verify_regularity(n: int) -> int:
+def _verify_regularity(n: int) -> None:
     graph = build_flip_graph(n)
     want = 2 * (n - 1)
     bad = [i for i, d in enumerate(graph.degrees) if d != want]
     if bad:
-        print(
-            f"vertex {bad[0]} has degree {graph.degrees[bad[0]]}, expected {want}",
-            file=sys.stderr)
-        return 1
+        raise StructureViolation(
+            f"vertex {bad[0]} has degree {graph.degrees[bad[0]]}, expected {want}")
     print(f"all degrees = {want}")
     print(json.dumps({
         "suite": "regularity", "n": n, "k": 2,
         "vertices": len(graph.vertices), "degree": want,
         "components": graph.component_count, "ok": True,
     }))
-    return 0
 
 
-def _verify_pseudomanifold(n: int, k: int) -> int:
+def _verify_pseudomanifold(n: int, k: int) -> None:
     report = analyze_complex(n, k)
     if not (report.is_pure and report.is_weak_pseudomanifold):
-        print(f"complex not pure/pseudomanifold: {report}", file=sys.stderr)
-        return 1
+        raise StructureViolation(f"complex not pure/pseudomanifold: {report}")
     print("every ridge in 2 facets")
     print(json.dumps({"suite": "pseudomanifold", "ok": True} | complex_report_json(report)))
-    return 0
 
 
-def _verify_pipedreams(n: int) -> int:
+def _verify_pipedreams(n: int) -> None:
     m = 4 * n
-    target = permutation_target(m, 2)
-    checked = 0
-    for idx, t in enumerate(enumerate_cylinder(cylinder(n, 2))):
-        inner = phi(t).inner
-        staircase = staircase_from_triangulation(inner)
+    target, pairs = permutation_target(m, 2), (m - 4) * (m - 5) // 2
+    triangulations = enumerate_cylinder(cylinder(n, 2))
+    for idx, t in enumerate(triangulations):
+        staircase = staircase_from_triangulation(phi(t).inner)
         trace = trace_pipes(staircase)
         if trace.permutation != target:
-            print(f"triangulation {idx}: permutation {trace.permutation}", file=sys.stderr)
-            return 1
+            raise StructureViolation(f"triangulation {idx}: permutation {trace.permutation}")
         if any(len(cells) > 1 for cells in trace.crossings.values()):
-            print(f"triangulation {idx}: staircase not reduced", file=sys.stderr)
-            return 1
+            raise StructureViolation(f"triangulation {idx}: staircase not reduced")
         chevron = chevron_from_staircase(staircase)
         crossings = trace_pipes(chevron).crossings
-        pipes = m - 4
-        if len(crossings) != pipes * (pipes - 1) // 2 or any(
-            len(cells) != 1 for cells in crossings.values()
-        ):
-            print(f"triangulation {idx}: chevron pipes do not cross once each",
-                  file=sys.stderr)
-            return 1
+        if len(crossings) != pairs or any(len(cells) != 1 for cells in crossings.values()):
+            raise StructureViolation(
+                f"triangulation {idx}: chevron pipes do not cross once each")
         if not is_n_periodic(chevron, n):
-            print(f"triangulation {idx}: chevron not periodic", file=sys.stderr)
-            return 1
-        checked += 1
-    print(f"{checked} staircases reduced with the expected permutation; "
+            raise StructureViolation(f"triangulation {idx}: chevron not periodic")
+    print(f"{len(triangulations)} staircases reduced with the expected permutation; "
           "chevron pipes pairwise cross once")
     print(json.dumps({"suite": "pipedreams", "n": n, "k": 2,
-                      "triangulations": checked, "ok": True}))
-    return 0
+                      "triangulations": len(triangulations), "ok": True}))
 
 
-def _verify_conjectures(n: int, k: int) -> int:
+def _verify_conjectures(n: int, k: int) -> None:
     bundle = run_all_checks(n, k)
     for name, report in bundle["reports"].items():
         verdict = report.get("skipped") or ("holds" if report.get("holds") else "FAILS")
         print(f"{name}: {verdict}")
     print(json.dumps(bundle))
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     if args.suite == "conjectures":
-        return _verify_conjectures(args.n, args.k)
-    if args.suite == "pseudomanifold":
-        return _verify_pseudomanifold(args.n, args.k)
-    if args.k != 2:
-        print(f"suite {args.suite} drives the k=2 theorems; got k={args.k}",
-              file=sys.stderr)
-        return 2
-    if args.suite == "counts":
-        return _verify_counts(args.n)
-    if args.suite == "regularity":
-        return _verify_regularity(args.n)
-    if args.n < 2:
-        print(f"suite pipedreams needs n >= 2, since the 4n-gon needs more than "
-              f"4 vertices for a chevron; got n={args.n}", file=sys.stderr)
-        return 2
-    return _verify_pipedreams(args.n)
+        _verify_conjectures(args.n, args.k)
+    elif args.suite == "pseudomanifold":
+        _verify_pseudomanifold(args.n, args.k)
+    elif args.k != 2:
+        raise ValueError(f"suite {args.suite} drives the k=2 theorems; got k={args.k}")
+    elif args.suite == "counts":
+        _verify_counts(args.n)
+    elif args.suite == "regularity":
+        _verify_regularity(args.n)
+    elif args.n < 2:
+        raise ValueError(f"suite pipedreams needs n >= 2, since the 4n-gon needs more than "
+                         f"4 vertices for a chevron; got n={args.n}")
+    else:
+        _verify_pipedreams(args.n)
 
 
-def cmd_pipedream(args) -> int:
+def cmd_pipedream(args) -> None:
     t = _load_input(args.input)
     if isinstance(t, CylinderTriangulation):
         t = phi(t).inner
@@ -176,10 +155,9 @@ def cmd_pipedream(args) -> int:
     else:
         text = json.dumps(pipedream_json(dream)) + "\n"
     sys.stdout.write(text)
-    return 0
 
 
-def cmd_flip(args) -> int:
+def cmd_flip(args) -> None:
     t = _load_input(args.input)
     if not isinstance(t, CylinderTriangulation):
         raise ValueError("flip expects a cylinder triangulation")
@@ -191,16 +169,14 @@ def cmd_flip(args) -> int:
     flipped, f = orbit_flip(t, e)
     sys.stdout.write(json.dumps(serialize_triangulation(flipped)) + "\n")
     print(f"flipped {e.rep.a},{e.rep.b} to {f.rep.a},{f.rep.b}", file=sys.stderr)
-    return 0
 
 
-def cmd_flipgraph(args) -> int:
+def cmd_flipgraph(args) -> None:
     graph = build_flip_graph(args.n)
     if args.format == "dot":
         sys.stdout.write(flip_graph_dot(graph))
     else:
         sys.stdout.write(json.dumps(flip_graph_json(graph)) + "\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,7 +228,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        args.func(args)
     except TooLarge as exc:
         print(f"TooLarge: {exc}", file=sys.stderr)
         return 3
@@ -262,6 +238,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
     # Rotation by d < shift permutes the orbits.
     rotations = [[index[tuple(_rotation_orbit(a + d, b + d, shift, n))] for (a, b), *_ in orbits]
                  for d in range(1, shift)]
-    universe = CrossingUniverse(k, orbits, own_blocks=False, symmetries=rotations)
+    universe = CrossingUniverse(k, orbits, rotations)
     shorts = short_edges(n, k)
     # Polygon purity: every k-triangulation has expected_edge_count edges.
     size = expected_edge_count(n, k) - len(shorts)

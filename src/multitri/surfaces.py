@@ -278,8 +278,10 @@ class CrossingUniverse:
     result; with the identity they form a group.
     """
 
-    def __init__(self, k: int, groups, own_blocks: bool, symmetries=()):
-        self.k, self.own_blocks, self.symmetries = k, own_blocks, list(symmetries)
+    own_blocks = False  # do a group's own members block it? (`maximal_sets`)
+
+    def __init__(self, k: int, groups, symmetries):
+        self.k, self.symmetries = k, list(symmetries)
         self.edges = sorted(e for group in groups for e in group)
         position = {e: p for p, e in enumerate(self.edges)}
         self.adj = crossing_rows(self.edges)
@@ -378,7 +380,8 @@ class CrossingUniverse:
         Every `has_clique` call goes through this module's global.
         """
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
-        own = members if self.own_blocks else [0] * len(members)
+        own_blocks = self.own_blocks
+        own = members if own_blocks else [0] * len(members)
         count, floor = len(members), size or 0
         # hits[i]: for each later group j whose representative a member of i
         # crosses, j's members, the edges crossing its representative, and
@@ -405,7 +408,7 @@ class CrossingUniverse:
         def rec(i: int, picked: int, image: int, lift: int, possible: int, unblocked: int):
             if i == count:
                 if size is None:
-                    for j in (bits(unblocked) if self.own_blocks else range(count)):
+                    for j in (bits(unblocked) if own_blocks else range(count)):
                         if not lift & members[j] and not has_clique(
                                 adj, k, within=rows[j] & (lift | own[j])):
                             return
@@ -457,6 +460,8 @@ class LiftUniverse(CrossingUniverse):
     """The window translates of the k-relevant classes of C_n: class
     `classes[i]` (sorted, `index` inverts it) owns the bits `translates[i]`."""
 
+    own_blocks = True
+
     def __init__(self, n: int, k: int):
         self.n = n
         self.classes = [EdgeClass(Edge(a, b), n)
@@ -466,8 +471,7 @@ class LiftUniverse(CrossingUniverse):
         # Rotation of C_n by d: ~[a, b] -> ~[a+d, b+d].
         rotations = [[self.index[edge_class_of(c.rep.shifted(d), n)] for c in self.classes]
                      for d in range(1, n)]
-        super().__init__(k, [[c.translate(t) for t in window] for c in self.classes],
-                         own_blocks=True, symmetries=rotations)
+        super().__init__(k, [[c.translate(t) for t in window] for c in self.classes], rotations)
         self.translates = self.members
 
     def indices(self, classes) -> list[int]:

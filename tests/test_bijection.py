@@ -116,3 +116,8 @@ def test_count_law_agrees_across_cli_lab_and_report(capsys, n):
     printed = ast.literal_eval(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
     assert tuple(check_counts_k(n, 2)["expected"]) == printed
     assert {tuple(count_report(t)) for t in enumerate_cylinder(cylinder(n, 2))} == {printed}
+
+
+def test_periodic_polygon_needs_the_2k_period_gon(worked_12gon):
+    with pytest.raises(ValueError, match="^period 2 with k=2 needs a 8-gon, got 12$"):
+        PeriodicPolygonTriangulation(worked_12gon, 2)

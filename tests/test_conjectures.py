@@ -10,13 +10,16 @@ import json
 import pytest
 
 from multitri import (
+    CylinderTriangulation,
     Edge,
     TooLarge,
     check_bijection_k,
     check_counts_k,
     check_star_decomposition_k,
     check_translation_lemma,
+    cylinder,
     edge_class_of,
+    enumerate_cylinder,
     find_single_translate_replacement,
     minimize_witness,
     run_all_checks,
@@ -226,3 +229,43 @@ def test_bijection_k3_n3_report():
     rep = check_bijection_k(3, 3)
     assert rep["cylinder_count"] == rep["periodic_polygon_count"] == 216
     assert rep["holds"]
+
+
+def test_no_single_translate_replacement_in_a_triangulation():
+    """A triangulation's lift has no 3-crossing, so none uses a translate."""
+    for t in enumerate_cylinder(cylinder(3, 2)):
+        for c in t.relevant_classes():
+            assert find_single_translate_replacement(t.classes, c, 3, 2) is None
+
+
+def test_lab_reports_record_their_failures():
+    """Crafted star lists and class lists drive each report's failure
+    branch; every report stays JSON."""
+    n, k = 2, 2
+    ts = enumerate_cylinder(cylinder(n, k))
+    stars = [conjectures._cover_stars(t) for t in ts]
+
+    starless = conjectures._star_decomposition_report(n, k, ts, [[] for _ in ts])
+    assert not starless["holds"] and starless["angles_held"] == 0
+    assert len(starless["failures"]) == starless["angles_checked"] > 0
+    for failure in starless["failures"]:
+        assert set(map(tuple, failure["minimized_classes"])) <= set(
+            map(tuple, failure["triangulation"]))
+
+    doubled = conjectures._star_decomposition_report(n, k, ts, [s + s for s in stars])
+    assert doubled["holds"] and len(doubled["multiple_star_angles"]) == doubled["angles_checked"]
+    assert all(len(m["stars"]) == 2 for m in doubled["multiple_star_angles"])
+
+    counts = conjectures._counts_report(n, k, ts, [s[1:] for s in stars])
+    assert not counts["holds"]
+    assert [m["observed"] for m in counts["mismatches"]] == [[n - 2, k * (n - 1), 3 * k]] * len(ts)
+
+    broken = CylinderTriangulation(ts[0].surface, ts[0].classes[1:])
+    bijection = conjectures._bijection_report(n, k, [broken, *ts[1:]])
+    assert not bijection["holds"] and not bijection["phi_surjective"]
+    assert bijection["phi_failures"] == [{
+        "triangulation_index": 0,
+        "error": "image has 18 edges, a k-triangulation of the 8-gon has 22"}]
+
+    for report in (starless, doubled, counts, bijection):
+        json.dumps(report)

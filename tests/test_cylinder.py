@@ -20,6 +20,7 @@ from multitri import (
     expected_class_count,
     find_angles,
     orbit_flip,
+    polygon,
     relevant_class_candidates,
     short_classes,
     star_of_angle,
@@ -195,3 +196,27 @@ def test_missing_class_message_is_bounded():
     with pytest.raises(StructureViolation, match="missing: .* and 1995 more") as info:
         validate_cylinder_triangulation(t)
     assert len(str(info.value)) < 1024
+
+
+def test_enumerate_cylinder_refuses_a_polygon():
+    with pytest.raises(ValueError, match="^enumerate_cylinder needs a cylinder surface$"):
+        enumerate_cylinder(polygon(6, 2))
+
+
+def test_unique_spanning_class_needs_exactly_one():
+    t = enumerate_cylinder(cylinder(3, 2))[0]
+    span = unique_spanning_class(t)
+    without = tuple(c for c in t.classes if c != span)
+    second = EdgeClass(Edge(span.rep.a + 1, span.rep.b + 1), 3)
+    for classes, count in [(without, 0), (t.classes + (second,), 2)]:
+        with pytest.raises(StructureViolation, match=f"^{count} classes of length 6, expected 1$"):
+            unique_spanning_class(CylinderTriangulation(t.surface, classes))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_star_of_angle_is_established_at_k2_only(k):
+    t = enumerate_cylinder(cylinder(3, k))[0]
+    angle = next(a for a in find_angles(t) if a.relevant)
+    message = f"^star location is established for k=2 only, got k={k}$"
+    with pytest.raises(LengthPrecondition, match=message):
+        star_of_angle(t, angle)

@@ -445,6 +445,23 @@ def test_hand_built_dream_leaves_the_cache_alone():
     assert cached.cells == list(chevron.tiles)
 
 
+def test_canonical_size_counts_the_canonical_cells():
+    """`_canonical_size` restates the canonical cell lists as formulas; a
+    drift would send every dream down the uncached path."""
+    for m in range(3, 25):
+        for k in range(1, 5):
+            assert pipedreams._canonical_size(STAIRCASE, m, k) == len(
+                pipedreams._canonical_geometry(STAIRCASE, m, k).cells)
+            size = pipedreams._canonical_size(CHEVRON, m, k)
+            try:
+                pipedreams._check_chevron_input(PipeDream(STAIRCASE, {}, m, k))
+            except ShapeMismatch:
+                assert size is None
+            else:
+                assert size == len(pipedreams._canonical_geometry(CHEVRON, m, k).cells)
+    pipedreams._canonical_geometry.cache_clear()
+
+
 def test_hand_built_dream_naming_a_large_gon_builds_nothing_of_its_size():
     before = pipedreams._canonical_geometry.cache_info()
     for shape in (STAIRCASE, CHEVRON):

@@ -5,14 +5,17 @@ from __future__ import annotations
 import json
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
-from multitri import parse_triangulation, serialize_triangulation
+from multitri import bijection, cli, parse_triangulation, serialize_triangulation
 from multitri.cli import main
+from multitri.complexes import analyze_complex
+from multitri.flips import build_flip_graph
 from multitri.cylinder import CylinderTriangulation
 from multitri.io import grid_lines, pipedream_json, render_svg
-from multitri.pipedreams import staircase_from_triangulation
+from multitri.pipedreams import permutation_target, staircase_from_triangulation, trace_pipes
 from multitri.polygon import PolygonTriangulation
 
 from conftest import GOLDEN_CHEVRON, GOLDEN_STAIRCASE
@@ -325,3 +328,84 @@ def test_cli_usage_errors(tmp_path, capsys, worked_12gon):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {message}" in captured.err
+
+
+def _break_regularity(monkeypatch):
+    graph = build_flip_graph(2)
+    monkeypatch.setattr(cli, "build_flip_graph", lambda n: replace(graph, degrees=(2, 2, 1, 2)))
+    return "vertex 2 has degree 1, expected 2"
+
+
+def _break_pseudomanifold(monkeypatch):
+    report = replace(analyze_complex(2, 2), is_weak_pseudomanifold=False)
+    monkeypatch.setattr(cli, "analyze_complex", lambda n, k: report)
+    return f"complex not pure/pseudomanifold: {report}"
+
+
+def _break_permutation(monkeypatch):
+    monkeypatch.setattr(cli, "permutation_target", lambda m, k: [])
+    return f"triangulation 0: permutation {permutation_target(8, 2)}"
+
+
+def _break_trace(shape, crossings):
+    def trace(dream):
+        result = trace_pipes(dream)
+        return replace(result, crossings=crossings(result)) if dream.shape == shape else result
+    return trace
+
+
+def _break_staircase(monkeypatch):
+    doubled = _break_trace("staircase", lambda r: r.crossings | {(0, 1): ((1, 1), (2, 2))})
+    monkeypatch.setattr(cli, "trace_pipes", doubled)
+    return "triangulation 0: staircase not reduced"
+
+
+def _break_chevron(monkeypatch):
+    monkeypatch.setattr(cli, "trace_pipes", _break_trace("chevron", lambda r: {}))
+    return "triangulation 0: chevron pipes do not cross once each"
+
+
+def _break_periodicity(monkeypatch):
+    monkeypatch.setattr(cli, "is_n_periodic", lambda dream, n: False)
+    return "triangulation 0: chevron not periodic"
+
+
+@pytest.mark.parametrize("suite,breaker", [
+    ("regularity", _break_regularity),
+    ("pseudomanifold", _break_pseudomanifold),
+    ("pipedreams", _break_permutation),
+    ("pipedreams", _break_staircase),
+    ("pipedreams", _break_chevron),
+    ("pipedreams", _break_periodicity),
+])
+def test_cli_theorem_suite_failures_exit_1_with_the_error_name(
+        capsys, monkeypatch, suite, breaker):
+    witness = breaker(monkeypatch)
+    assert main(["verify", "--suite", suite, "--n", "2", "--k", "2"]) == 1
+    assert capsys.readouterr() == ("", f"StructureViolation: {witness}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--suite", "counts", "--n", "2", "--k", "3"],
+     "suite counts drives the k=2 theorems; got k=3"),
+    (["--suite", "pipedreams", "--n", "1", "--k", "2"],
+     "suite pipedreams needs n >= 2, since the 4n-gon needs more than 4 vertices "
+     "for a chevron; got n=1"),
+])
+def test_cli_verify_usage_gates_print_error(capsys, argv, message):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg", "json"])
+def test_cli_pipedream_refuses_c1_at_k1_before_the_tables(tmp_path, capsys, monkeypatch, fmt):
+    """The one triangulation of C_1 at k=1 wraps onto a 2-gon, which has no
+    pipe dream; `phi` says so before it builds a table."""
+    def refuse(*args):
+        raise AssertionError("tables built for C_1 at k=1")
+
+    monkeypatch.setattr(bijection, "_wrap_table", refuse)
+    path = tmp_path / "c1.json"
+    path.write_text('{"surface": "cylinder", "n": 1, "k": 1, "edges": [[0, 1]]}')
+    assert main(["pipedream", "--input", str(path), "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "error: C_1 at k=1 wraps onto a 2-gon\n")

@@ -20,6 +20,7 @@ from multitri import (
     all_edges,
     common_bisector,
     crosses,
+    cylinder,
     enumerate_polygon,
     enumerate_shift_invariant,
     expected_edge_count,
@@ -260,3 +261,10 @@ def test_missing_short_edge_message_matches_set_difference(n):
             with pytest.raises(StructureViolation) as raised:
                 _checked_edge_set(t)
             assert str(raised.value) == f"edges of length <= {k} missing: {missing[:5]}{more}"
+
+
+def test_polygon_enumerators_refuse_a_cylinder():
+    with pytest.raises(ValueError, match="^enumerate_polygon needs a polygon surface$"):
+        enumerate_polygon(cylinder(6, 1))
+    with pytest.raises(ValueError, match="^enumerate_shift_invariant needs a polygon surface$"):
+        enumerate_shift_invariant(cylinder(6, 1), 3)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from multitri import (
     Edge,
     EdgeClass,
+    SurfaceDesc,
     crosses,
     cyclic_length,
     cylinder,
@@ -157,3 +158,13 @@ def test_window_translations_symmetric():
     w = window_translations(2)
     assert min(w) == -max(w)
     assert 0 in w
+
+
+def test_surface_kind_is_polygon_or_cylinder():
+    with pytest.raises(ValueError, match="^unknown surface kind 'torus'$"):
+        SurfaceDesc("torus", 3, 1)
+
+
+def test_has_clique_of_size_0_always_holds():
+    assert has_clique([], 0)
+    assert has_clique([0b10, 0b01], 0, within=0)
