@@ -6,22 +6,27 @@ rotation by n, and the correspondence is a bijection.  Classes of length
 below kn land on orbits of 2k polygon edges, the spanning class on an
 orbit of k.
 
-`phi` is integer work on two tables built on first use.  Per m: the
-edges of the m-gon in sorted order, `polygon.all_edges`, so a set of
-edges is a bitmask over their positions and reading its bits lowest
-first gives the sorted tuple.  Per (n, k):
-the orbit mask of every class of length at most kn, and the mask of the
-edges of cyclic length above k.  Both are exact, being the orbits and
-lengths of the definitions computed once; each is an lru_cache of
-`_CACHE_SIZE` entries of O(m^2) items.  No crossing rows are cached: the
-(k+1)-crossing check builds the crossing graph of the image's own long
-edges on every call, so it stays independent of the lift.
+`phi` is integer work on tables built on first use.  Per m: the edges
+of the m-gon in sorted order, `polygon.all_edges`, so a set of edges is
+a bitmask over their positions and its binary digits, lowest first,
+select the sorted tuple; and, up to m = `_ROWS_MAX_M`, their crossing
+graph as bitmask rows, `surfaces.crossing_rows`.  Per (n, k): the orbit
+mask of every class of length at most kn, and the mask of the edges of
+cyclic length above k.  All are exact, being the orbits, lengths and
+crossings of the definitions computed once; each is an lru_cache of
+`_CACHE_SIZE` entries.  The (k+1)-crossing check is one clique search on
+the m-gon's own rows, restricted to the image's long edges (past
+`_ROWS_MAX_M`, `has_k_plus_1_crossing` on the image's edges), so it stays
+independent of the lift.  The image is a union of rotation orbits, so
+`phi` builds it as periodic with no shift check; the public constructor
+of `PeriodicPolygonTriangulation` keeps that check.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .cylinder import CylinderTriangulation, expected_class_count, stars_of
@@ -33,11 +38,12 @@ from .surfaces import (
     Edge,
     EdgeClass,
     _check_classes,
-    _has_crossing,
-    bits,
+    crossing_rows,
     cyclic_length,
     cylinder,
     edge_class_of,
+    has_clique,
+    has_k_plus_1_crossing,
     polygon,
 )
 
@@ -59,6 +65,15 @@ class PeriodicPolygonTriangulation:
             raise NotPeriodic(f"edge {e} present but its shift by {self.period} is not")
 
 
+def _of_orbits(inner: PolygonTriangulation, period: int) -> PeriodicPolygonTriangulation:
+    """`inner`, a union of rotation orbits by `period` of the 2k*period-gon,
+    as a periodic triangulation without the constructor's shift check."""
+    p = object.__new__(PeriodicPolygonTriangulation)
+    object.__setattr__(p, "inner", inner)
+    object.__setattr__(p, "period", period)
+    return p
+
+
 class CountReport(NamedTuple):
     stars: int
     relevant: int
@@ -70,7 +85,28 @@ def orbit_of_class(c: EdgeClass, k: int) -> list[Edge]:
     return _rotation_orbit(*c.rep, c.n, 2 * k * c.n)
 
 
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")  # binary digits as `compress` selectors
+
 _polygon_edges = functools.lru_cache(maxsize=_CACHE_SIZE)(all_edges)
+
+
+# The largest m whose crossing rows `phi` caches.  The rows hold O(m^4)
+# bits and take about 5 ms to build at m = 24 (16 ms at 32, 0.3 s at 64),
+# so past it `phi` checks its image with `has_k_plus_1_crossing`, on the
+# image's own edges, and a short class list naming a large C_n stays cheap.
+_ROWS_MAX_M = 24
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _polygon_rows(m: int) -> list[int]:
+    """The crossing graph of the m-gon's edges, in `_polygon_edges` order."""
+    return crossing_rows(_polygon_edges(m))
+
+
+def _no_polygon_side(n: int, k: int) -> str | None:
+    """Why C_n at order k has no polygon side, or None: only C_1 at k=1
+    lacks one, as it would wrap onto a 2-gon."""
+    return "C_1 at k=1 wraps onto a 2-gon" if 2 * k * n < 3 else None
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -93,7 +129,9 @@ def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
     another period or one longer than kn has no image.  The image is
     checked to have the edge count of a k-triangulation, from the orbit
     sizes before any table is built, and no k+1 pairwise crossing edges
-    among its long ones.  C_1 at k=1 would wrap onto a 2-gon: ValueError."""
+    among its long ones: a clique search on the m-gon's cached crossing
+    rows up to `_ROWS_MAX_M`, `has_k_plus_1_crossing` past it.  C_1 at k=1
+    has no polygon side (`_no_polygon_side`): ValueError."""
     n, k = t.surface.n, t.surface.k
     _check_classes(t.classes, n, k)
     m = 2 * k * n
@@ -104,17 +142,21 @@ def phi(t: CylinderTriangulation) -> PeriodicPolygonTriangulation:
     if count != wanted:
         raise StructureViolation(
             f"image has {count} edges, a k-triangulation of the {m}-gon has {wanted}")
-    if m < 3:
-        raise ValueError("C_1 at k=1 wraps onto a 2-gon")
+    if reason := _no_polygon_side(n, k):
+        raise ValueError(reason)
     orbits, longs = _wrap_table(n, k)
     image = 0
     for c in t.classes:
         image |= orbits[c.rep]
+    # The image's binary digits, lowest bit first, select its edges in
+    # order, with no per-bit step (as in `surfaces.sorted_unions`).
     edges = _polygon_edges(m)
-    if _has_crossing([edges[p] for p in bits(image & longs)], k):
+    digits = format(image, f"0{len(edges)}b")[::-1].encode().translate(_SELECTORS)
+    inner = PolygonTriangulation(polygon(m, k), tuple(compress(edges, digits)))
+    if (has_clique(_polygon_rows(m), k + 1, within=image & longs) if m <= _ROWS_MAX_M
+            else has_k_plus_1_crossing(inner.edges, k, inner.surface)):
         raise StructureViolation(f"image contains a {k + 1}-crossing")
-    inner = PolygonTriangulation(polygon(m, k), tuple(edges[p] for p in bits(image)))
-    return PeriodicPolygonTriangulation(inner, n)
+    return _of_orbits(inner, n)
 
 
 def class_of_polygon_edge(e: Edge, n: int, k: int) -> EdgeClass:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bijection import _count_law, phi
+from .bijection import _count_law, _no_polygon_side, phi
 from .cylinder import (
     CylinderTriangulation,
     _cover_stars,
@@ -19,7 +19,7 @@ from .cylinder import (
     find_angles,
     relevant_class_candidates,
 )
-from .errors import LengthPrecondition, NotPeriodic, StructureViolation
+from .errors import LengthPrecondition, StructureViolation
 from .polygon import enumerate_shift_invariant
 from .surfaces import EdgeClass, bits, cylinder, lift_universe, polygon
 
@@ -107,16 +107,15 @@ def check_bijection_k(n: int, k: int) -> dict:
 
 
 def _bijection_report(n: int, k: int, cyl) -> dict:
-    m = 2 * k * n
-    if m < 3:
-        return {"check": "bijection", "n": n, "k": k, "skipped": "C_1 at k=1 wraps onto a 2-gon"}
-    periodic = enumerate_shift_invariant(polygon(m, k), n)
+    if reason := _no_polygon_side(n, k):
+        return {"check": "bijection", "n": n, "k": k, "skipped": reason}
+    periodic = enumerate_shift_invariant(polygon(2 * k * n, k), n)
     images = {}
     failures = []
     for idx, t in enumerate(cyl):
         try:
             image = phi(t)
-        except (StructureViolation, NotPeriodic) as exc:
+        except StructureViolation as exc:
             failures.append({"triangulation_index": idx, "error": str(exc)})
             continue
         images[image.inner.edge_set()] = idx

@@ -82,7 +82,8 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
     Both backends run on every call and must name the same class: stars
     on the lift of t, the chevron on its periodic polygon image `phi(t)`.
     The rebuilt family has k(2n-1) classes, so by cylinder purity at k=2
-    it is a triangulation once its lift is crossing-free.
+    it is a triangulation once its lift is crossing-free, which one
+    `blocked` test of the new class against the lift of t minus e decides.
     """
     k = t.surface.k
     if k != 2:
@@ -105,13 +106,17 @@ def orbit_flip(t: CylinderTriangulation, e: EdgeClass) -> tuple[CylinderTriangul
         raise StructureViolation(
             f"flip backends disagree on {e}: stars give {f_stars}, "
             f"chevron gives {f_chevron}")
-    classes = tuple(sorted(present - {e} | {f_stars}))
-    # phi(t) has checked t's classes, and f is canonical, of period n, at
-    # most kn long and not in t, so the new list needs no `_check_classes`.
+    rest = present - {e}
+    # The lift of t minus e is crossing-free, being part of t's, so adding
+    # f makes a crossing iff one runs through f's representative
+    # (`lift_universe`): one `blocked` test decides the new family.  f is
+    # canonical, of period n, longer than k (t holds every shorter class)
+    # and at most kn long, so it has an index and needs no `_check_classes`.
     universe = lift_universe(t.surface.n, k)
-    if not universe.crossing_free([universe.index[c] for c in classes if c.length > k]):
+    if universe.blocked(universe.index[f_stars],
+                        universe.lift(universe.index[c] for c in rest if c.length > k)):
         raise StructureViolation(f"flip of {e} to {f_stars} created a crossing")
-    return CylinderTriangulation(t.surface, classes), f_stars
+    return CylinderTriangulation(t.surface, tuple(sorted(rest | {f_stars}))), f_stars
 
 
 @dataclass(frozen=True)

@@ -85,16 +85,20 @@ def serialize_triangulation(t: PolygonTriangulation | CylinderTriangulation) -> 
 
 def grid_lines(tiles: dict) -> list[str]:
     """Bounding-box rows of glyphs, top row first, absent cells dotted."""
-    top, left, rows, cols = _box(tiles)
+    return _grid_lines(tiles, _box(tiles))
+
+
+def _grid_lines(tiles: dict, box: tuple[int, int, int, int]) -> list[str]:
+    top, left, rows, cols = box
     return ["".join(GLYPHS[tiles[r, c]] if (r, c) in tiles else "."
                     for c in range(left, left + cols))
             for r in range(top, top - rows, -1)]
 
 
 def render_ascii(p: PipeDream) -> str:
-    top, left, _, _ = _box(p.tiles)
-    header = f"shape={p.shape} n={p.m} k={p.k} row0={top} col0={left}"
-    return "\n".join([header] + grid_lines(p.tiles)) + "\n"
+    box = _box(p.tiles)
+    header = f"shape={p.shape} n={p.m} k={p.k} row0={box[0]} col0={box[1]}"
+    return "\n".join([header] + _grid_lines(p.tiles, box)) + "\n"
 
 
 def render_svg(p: PipeDream) -> str:

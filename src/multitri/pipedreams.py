@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import MalformedShape, ShapeMismatch, StructureViolation
 from .polygon import PolygonTriangulation, _rotation_orbit, short_edges
@@ -202,7 +203,9 @@ def _canonical_geometry(shape: str, m: int, k: int) -> _Geometry:
     Each lists its fixed elbows for `_fill` as (index, kind) pairs
     (`elbows`): the staircase's J elbows on the gap-k diagonal, and the
     chevron's from `chevron_stages` on the all-bump staircase.  The
-    staircase's also lists its cells of gap m-k (`forced`).
+    staircase's also lists its cells of gap m-k (`forced`), and the
+    chevron's reads, from the staircase's kinds in cell order, the kind of
+    the staircase cell carrying each chevron cell's edge (`source`).
     """
     if shape == STAIRCASE:
         geometry = _Geometry(
@@ -215,6 +218,8 @@ def _canonical_geometry(shape: str, m: int, k: int) -> _Geometry:
     chevron = chevron_stages(PipeDream(STAIRCASE, filled, m, k))["chevron"]
     geometry = _Geometry(list(chevron), m, k)
     geometry.elbows = [(i, kind) for i, kind in enumerate(chevron.values()) if kind != BUMP]
+    position = {end: j for j, end in enumerate(staircase.ends)}
+    geometry.source = itemgetter(*(position[end] for end in geometry.ends))
     return geometry
 
 
@@ -444,7 +449,8 @@ def chevron_from_staircase(p: PipeDream) -> PipeDream:
     """The last stage of `chevron_stages`.  When p is a staircase
     `staircase_from_triangulation` could have made (the canonical cells in
     order, J elbows on the gap-k diagonal, bumps on the gap m-k one and
-    boxes elsewhere), the chevron is `_fill`ed from the edges of p's bumps.
+    boxes elsewhere), each chevron cell takes its fixed elbow, else the kind
+    of the staircase box carrying its edge, through the cached cell map.
     Any other staircase goes through `chevron_stages`, whose forced-edge
     check then meets the first offending cell in the same order."""
     _check_chevron_input(p)
@@ -455,9 +461,13 @@ def chevron_from_staircase(p: PipeDream) -> PipeDream:
         if (all(kinds[i] == kind for i, kind in elbows)
                 and all(kinds[i] == BUMP for i in staircase.forced)
                 and kinds.count(BUMP) + kinds.count(CROSS) == len(kinds) - len(elbows)):
+            # `_fill`'s rule: a chevron box is a bump iff the staircase box
+            # carrying its edge is one.
             chevron = _canonical_geometry(CHEVRON, p.m, p.k)
-            bumps = {end for end, kind in zip(staircase.ends, kinds) if kind == BUMP}
-            return PipeDream(CHEVRON, dict(zip(chevron.cells, _fill(chevron, bumps))), p.m, p.k)
+            filled = list(chevron.source(kinds))
+            for i, kind in chevron.elbows:
+                filled[i] = kind
+            return PipeDream(CHEVRON, dict(zip(chevron.cells, filled)), p.m, p.k)
     return PipeDream(CHEVRON, chevron_stages(p)["chevron"], p.m, p.k)
 
 

@@ -235,15 +235,10 @@ def _crossing_capable(e: Edge, k: int, surface: SurfaceDesc) -> bool:
 
 
 def has_k_plus_1_crossing(edges, k: int, surface: SurfaceDesc) -> bool:
-    """Does the edge set contain k+1 pairwise-crossing edges?  `_has_crossing`
-    on the long enough edges."""
-    return _has_crossing(sorted({e for e in edges if _crossing_capable(e, k, surface)}), k)
-
-
-def _has_crossing(edges, k: int) -> bool:
-    """Do the distinct sorted `Edge`s hold k+1 pairwise-crossing ones?  One
-    clique search on their `crossing_rows`."""
-    return len(edges) > k and has_clique(crossing_rows(edges), k + 1)
+    """Does the edge set contain k+1 pairwise-crossing edges?  One clique
+    search on the `crossing_rows` of the long enough edges."""
+    longs = sorted({e for e in edges if _crossing_capable(e, k, surface)})
+    return len(longs) > k and has_clique(crossing_rows(longs), k + 1)
 
 
 def crossing_rows(edges) -> list[int]:
