@@ -8,8 +8,6 @@ Failures carry a witness, greedily shrunk while it keeps failing.
 
 from __future__ import annotations
 
-import itertools
-
 from .bijection import _count_law, _no_polygon_side, phi
 from .cylinder import (
     CylinderTriangulation,
@@ -176,21 +174,21 @@ def _counts_report(n: int, k: int, triangulations, cover_stars) -> dict:
 
 
 def find_single_translate_replacement(classes, doubled: EdgeClass, n: int, k: int):
-    """A 3-crossing in the windowed lift using exactly one translate of `doubled`.
-
-    Returns the triple of edges, or None when no such crossing exists.
-    """
+    """A 3-crossing in the lift using exactly one translate of `doubled`:
+    a triple of edges starting with `doubled.rep`, or None.  The lift is
+    invariant under translation by n, so such a crossing may be taken through
+    the representative, and the lift window holds every edge crossing it."""
     if k != 2:
         raise LengthPrecondition(f"the translation lemma is stated for k=2, got k={k}")
     universe = lift_universe(n, k)
     lift = universe.lift(universe.indices(classes))
-    orbit = universe.lift(universe.indices([doubled])) & lift
-    adj, edges = universe.adj, universe.edges
-    for anchor in bits(orbit):
-        candidates = adj[anchor] & lift & ~orbit
-        for g in bits(candidates):
-            for h in bits(candidates & adj[g] & -(2 << g)):  # bits above g
-                return (edges[anchor], edges[g], edges[h])
+    orbit = universe.lift(universe.indices([doubled]))
+    if not orbit & lift:
+        return None
+    candidates = universe.through_rep[universe.index[doubled]] & lift & ~orbit
+    for g in bits(candidates):
+        for h in bits(candidates & universe.adj[g] & -(2 << g)):  # bits above g
+            return (doubled.rep, universe.edges[g], universe.edges[h])
     return None
 
 
@@ -209,6 +207,10 @@ def check_translation_lemma(n: int, k: int) -> dict:
 def _translation_report(n: int, k: int, triangulations) -> dict:
     universe = lift_universe(n, k)
     adj, edges = universe.adj, universe.edges
+    # One read per translation orbit: a class longer than n crosses its
+    # translate by n, and by translation each triple is (rep, rep + n, third).
+    crossing_both = {c: adj[edges.index(c.rep)] & adj[edges.index(c.translate(1))]
+                     for c in universe.classes if c.length > n}
     candidates = relevant_class_candidates(n, k)
     sets_checked = vacuous = triples = held = 0
     failures = []
@@ -219,20 +221,15 @@ def _translation_report(n: int, k: int, triangulations) -> dict:
             sets_checked += 1
             classes = list(t.classes) + [extra]
             lift = universe.lift(universe.indices(classes))
-            qualifying = [
-                (c, edges[p1], edges[p2], edges[third])
-                for c in classes if c.length > n
-                for p1, p2 in itertools.pairwise(bits(universe.translates[universe.index[c]]))
-                if adj[p1] >> p2 & 1
-                for third in bits(adj[p1] & adj[p2] & lift)
-            ]
+            qualifying = [(c, edges[third]) for c in classes if c in crossing_both
+                          for third in bits(crossing_both[c] & lift)]
             if not qualifying:
                 vacuous += 1
                 continue
             # One replacement search per doubled class: it reads nothing else.
             replaced = {c: find_single_translate_replacement(classes, c, n, k)
-                        for c in {c for c, *_ in qualifying}}
-            for (c, e1, e2, third) in qualifying:
+                        for c in {c for c, _ in qualifying}}
+            for c, third in qualifying:
                 triples += 1
                 if replaced[c] is not None:
                     held += 1
@@ -246,7 +243,7 @@ def _translation_report(n: int, k: int, triangulations) -> dict:
                         "triangulation_index": idx,
                         "added_class": list(extra.rep),
                         "doubled_class": list(c.rep),
-                        "crossing": [list(e) for e in (e1, e2, third)],
+                        "crossing": [list(e) for e in (c.rep, c.translate(1), third)],
                         "minimized_classes": _class_list(minimal),
                     })
     return {

@@ -28,7 +28,7 @@ from .cylinder import (
 )
 from .errors import LengthPrecondition, NotInTriangulation, NotRelevant, StructureViolation
 from .pipedreams import BUMP, CHEVRON, _bump_crossings, _canonical_geometry, _fill, cell_edge
-from .polygon import _bisectors, _sole_bisector, make_star
+from .polygon import _bisectors, _sole_bisector
 from .surfaces import EdgeClass, cylinder, edge_class_of, lift_universe
 
 
@@ -46,7 +46,10 @@ def _flip_via_stars(t: CylinderTriangulation, e: EdgeClass,
         holders += [[v + k * n for v in star] for star in holders]
     if len(holders) != 2:
         raise StructureViolation(f"relevant class {e} lies in {len(holders)} stars, expected 2")
-    r, s = (make_star(tuple(sorted(v % (2 * k * n) for v in star))) for star in holders)
+    # No second `make_star`: a holder's edges are at most kn long, so its
+    # vertices, if distinct mod 2kn, span less than 2kn and wrap in star order
+    # to a rotation of the 2kn-gon star's (k is a unit mod 2k+1): same angles.
+    r, s = ([v % (2 * k * n) for v in star] for star in holders)
     found = {class_of_polygon_edge(f, n, k) for f in _bisectors(r, s)}
     return _sole_bisector(found - present)
 

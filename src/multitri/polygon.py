@@ -265,10 +265,9 @@ def _contained_stars(neighbours, anchors, k: int, through=None) -> list[KStar]:
     return [make_star(z) for z in sorted(found)]
 
 
-def _star_angles(star: KStar) -> list[tuple[int, int, int]]:
-    """(v, u, w) for each vertex v of the star, with (u, v, w) cyclically
-    ordered and u, w the star's neighbours of v: its angle at v."""
-    s = star.vertices
+def _star_angles(s) -> list[tuple[int, int, int]]:
+    """(v, u, w) for each vertex v of a star's vertices `s` in star order,
+    with (u, v, w) cyclically ordered and u, w the neighbours of v in s."""
     m = len(s)
     angles = []
     for j, v in enumerate(s):
@@ -286,8 +285,9 @@ def _bisects(v: int, far: int, u: int, w: int) -> bool:
     return far != u and far != w and (far > u) + (u > v) + (v > w) + (w > far) <= 1
 
 
-def _bisectors(r: KStar, s: KStar) -> set[Edge]:
-    """Every edge splitting an angle of r and an angle of s."""
+def _bisectors(r, s) -> set[Edge]:
+    """Every edge splitting an angle of r and an angle of s, two stars'
+    vertices in star order (or any rotation of it)."""
     found = set()
     s_angles = _star_angles(s)
     for x, ux, wx in _star_angles(r):
@@ -306,7 +306,7 @@ def _sole_bisector(found: set[Edge]) -> Edge:
 
 def common_bisector(r: KStar, s: KStar, absent: frozenset[Edge]) -> Edge:
     """The unique edge of `absent` splitting an angle of r and an angle of s."""
-    return _sole_bisector(_bisectors(r, s) & absent)
+    return _sole_bisector(_bisectors(r.vertices, s.vertices) & absent)
 
 
 def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation, Edge]:
@@ -327,7 +327,7 @@ def polygon_flip(t: PolygonTriangulation, e: Edge) -> tuple[PolygonTriangulation
     if len(holders) != 2:
         raise StructureViolation(
             f"relevant edge {e} lies in {len(holders)} stars, expected 2")
-    f = _sole_bisector(_bisectors(*holders) - edges)
+    f = _sole_bisector(_bisectors(holders[0].vertices, holders[1].vertices) - edges)
     new_edges = tuple(sorted(edges - {e} | {f}))
     if has_k_plus_1_crossing(new_edges, k, t.surface):
         raise StructureViolation(f"flip of {e} to {f} created a crossing")

@@ -259,7 +259,7 @@ def crossing_rows(edges) -> list[int]:
 
 def window_translations(k: int) -> range:
     """Translation indices of the lift window of `lift_universe`."""
-    return range(-(2 * k + 1), 2 * k + 2)
+    return range(-k, k + 1)
 
 
 class CrossingUniverse:
@@ -497,8 +497,8 @@ def lift_universe(n: int, k: int) -> LiftUniverse:
     crossing a cover edge [a, b] of length at most kn starts in (a - kn, b).
     Translate a (k+1)-crossing of a periodic edge set so that one member is
     a class representative, starting in [0, n); every member then starts in
-    (-kn, (k+1)n), so it is a translate t in [-k, k] of its representative,
-    inside `window_translations`.  So a set of classes lifts crossing-free
+    (-kn, (k+1)n), so it is a translate t in [-k, k] of its representative:
+    exactly `window_translations`.  So a set of classes lifts crossing-free
     iff no representative is `blocked`.  If the set is crossing-free, a crossing
     made by adding one class uses a translate of it, which may be taken to
     be its representative, so `blocked` alone decides addability.

@@ -1,12 +1,12 @@
 """`find_angles` against the window scan it replaces.
 
 `oracle_find_angles` collects the fan at each apex in [0, n) by scanning
-every class at every translate of `window_translations`; the library reads
-it from the per-residue offsets of `_cover_offsets`.  Both must give the same angles in
-the same order, or raise the same exception with the same message, on every
-enumerated triangulation within the budget and on random class sets,
-duplicates included, whose classes are at most 2kn long (the window holds
-every translate of those).
+every class at every translate t in [-(2k+1), 2k+1], a window of its own;
+the library reads it from the per-residue offsets of `_cover_offsets`.
+Both must give the same angles in the same order, or raise the same
+exception with the same message, on every enumerated triangulation within
+the budget and on random class sets, duplicates included, whose classes are
+at most 2kn long (the window holds every translate of those).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from multitri import CylinderTriangulation, Edge, EdgeClass, cylinder, enumerate_cylinder, find_angles
 from multitri.cylinder import Angle
 from multitri.errors import StructureViolation
-from multitri.surfaces import cyclically_ordered, window_translations
+from multitri.surfaces import cyclically_ordered
 
 
 def oracle_find_angles(t: CylinderTriangulation) -> list[Angle]:
@@ -27,7 +27,7 @@ def oracle_find_angles(t: CylinderTriangulation) -> list[Angle]:
     rights: list[list[int]] = [[] for _ in range(n)]
     lefts: list[list[int]] = [[] for _ in range(n)]
     for c in t.classes:
-        for s in window_translations(k):
+        for s in range(-(2 * k + 1), 2 * k + 2):
             a, b = c.rep.a + s * n, c.rep.b + s * n  # c.translate(s)
             if 0 <= a < n:
                 rights[a].append(b)

@@ -80,9 +80,10 @@ def test_counts_worked_examples():
 
 
 def test_translation_lemma_control():
-    # (sets_checked, vacuous_sets, triples_checked, triples_held), frozen
-    # from the dict-adjacency implementation
-    counters = {2: (8, 0, 312, 312), 3: (288, 36, 13544, 13544)}
+    # (sets_checked, vacuous_sets, triples_checked, triples_held); the sets
+    # frozen from the dict-adjacency implementation, the triples counted once
+    # per translation orbit, as (rep, rep + n, third)
+    counters = {2: (8, 0, 32, 32), 3: (288, 36, 1386, 1386)}
     for n in (2, 3):
         rep = check_translation_lemma(n, 2)
         assert rep["holds"]
@@ -93,7 +94,7 @@ def test_translation_lemma_control():
 
 
 @pytest.mark.parametrize("n,searches,counters", [
-    (2, 16, (8, 0, 312, 312)), (3, 570, (288, 36, 13544, 13544))])
+    (2, 16, (8, 0, 32, 32)), (3, 570, (288, 36, 1386, 1386))])
 def test_translation_lemma_searches_once_per_set_and_class(monkeypatch, n, searches, counters):
     """One replacement search per (extended set, doubled class), not one per
     qualifying triple; every triple is still counted."""
@@ -123,7 +124,7 @@ def test_translation_lemma_synthetic_example():
     c1 = edge_class_of(Edge(0, 6), 3)
     c2 = edge_class_of(Edge(1, 7), 3)
     triple = find_single_translate_replacement([c1, c2], c1, 3, 2)
-    assert triple is not None
+    assert triple is not None and triple[0] == c1.rep
     in_orbit = [e for e in triple if edge_class_of(e, 3) == c1]
     assert len(in_orbit) == 1
     assert all(edge_class_of(e, 3) in (c1, c2) for e in triple)
@@ -171,11 +172,13 @@ def test_run_all_checks_k3_never_crashes():
 
 
 # sha256 of json.dumps(run_all_checks(n, k), sort_keys=True), taken before
-# the checks shared one enumeration.
+# the checks shared one enumeration; at k=2 re-taken when the translation
+# report came to count one triple per translation orbit, which changed only
+# its `triples_checked` and `triples_held`.
 BUNDLE_SHA256 = {
-    (2, 2): "4d5411b9210997bcc62a5a321d21e7fdefb4d4683cceedac3c5677821b49cad8",
+    (2, 2): "02b18af9c609565cfbfe256707c74bd0c85a77587c4c67fdbbdf768b27f8e067",
     (2, 3): "445501780ba9f7ddae25deeaddf64b6597011d8552a5545ab496efec0d880fc0",
-    (3, 2): "a2af3a82451199e4540d88b7acc7ccac359c32aa35fd72022e66e3a5fdd3524e",
+    (3, 2): "473147020a9611cbd030fa6b78569103d85bb4df7c583a83ceb657624616e0af",
     (3, 3): "0015c0c2fc210bb7b5981eb93ddee09b03ec0bc1cf7f35fb709bdd19d6b50f85",
 }
 

@@ -1,9 +1,9 @@
 """The contained-star search against the angle-by-angle window scan.
 
 `oracle_star_of_angle` locates the star of one relevant angle by scanning
-every class at every translate of `window_translations` for the edge
-crossing the angle closest to its chord.  `oracle_stars_of` runs it on
-every relevant angle of `find_angles` and translates each star by
+every class at every translate t in [-(2k+1), 2k+1], a window of its own,
+for the edge crossing the angle closest to its chord.  `oracle_stars_of`
+runs it on every relevant angle of `find_angles` and translates each star by
 `canonical_star`.  `stars_of` walks the stars on the cover and must return
 the same list on every 2-triangulation, `star_of_angle` reads an angle's
 star off that list and must give the scan's outcome, and `count_report`
@@ -35,7 +35,6 @@ from multitri import (
     short_classes,
     star_of_angle,
     stars_of,
-    window_translations,
 )
 from multitri import bijection
 from multitri.conjectures import check_counts_k
@@ -71,7 +70,7 @@ def oracle_star_of_angle(t: CylinderTriangulation, angle: Angle) -> KStar:
     u, v, w = angle.u, angle.v, angle.w
     cands = []
     for c in t.classes:
-        for s in window_translations(k):
+        for s in range(-(2 * k + 1), 2 * k + 2):
             e = c.translate(s)
             for a, b in ((e.a, e.b), (e.b, e.a)):
                 if cyclically_ordered(u, a, v) and cyclically_ordered(v, b, w):

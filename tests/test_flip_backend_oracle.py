@@ -150,7 +150,7 @@ def test_bisectors_match_the_generic_test():
         stars = star_decomposition(t)
         for r in stars:
             for s in stars:
-                assert _bisectors(r, s) == oracle_bisectors(r, s), (r, s)
+                assert _bisectors(r.vertices, s.vertices) == oracle_bisectors(r, s), (r, s)
                 pairs += 1
     assert pairs == 119 * 25
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -21,9 +22,11 @@ from multitri import (
     EdgeTooLong,
     StructureViolation,
     check_maximal_lifting,
+    check_translation_lemma,
     cylinder,
     edge_class_of,
     enumerate_cylinder,
+    find_single_translate_replacement,
     is_periodic_crossing_free,
     relevant_class_candidates,
     short_classes,
@@ -108,8 +111,41 @@ def test_universe_bit_order_is_edge_order():
     assert lift_universe(3, 2) is u
     for i, c in enumerate(u.classes):
         members = [u.edges[p] for p in range(len(u.edges)) if u.translates[i] >> p & 1]
-        assert members == [c.translate(t) for t in range(-5, 6)]
+        assert members == [c.translate(t) for t in range(-2, 3)]
         assert u.through_rep[i] == u.adj[u.edges.index(c.rep)]
+
+
+def _window_reads() -> list:
+    """The lab's translation reads at C_2 and C_3 and three enumerations,
+    on universes built afresh."""
+    lift_universe.cache_clear()
+    reads = [check_translation_lemma(n, 2) for n in (2, 3)]
+    for n, k in ((3, 2), (4, 2), (3, 3)):
+        reads.append(enumerate_cylinder(cylinder(n, k)))
+    for n in (2, 3):
+        for t in enumerate_cylinder(cylinder(n, 2)):
+            for extra in relevant_class_candidates(n, 2):
+                if extra not in t.class_set():
+                    classes = list(t.classes) + [extra]
+                    reads.append([find_single_translate_replacement(classes, c, n, 2)
+                                  for c in classes if c.is_relevant(2)])
+    return reads
+
+
+def test_outputs_do_not_depend_on_the_window(monkeypatch):
+    """A wider window, [-(2k+1), 2k+1], gives the same translation reports,
+    enumerations and replacement triples at every (extended set, relevant
+    class) pair of C_2 and C_3.  `multitri.cylinder` is the surface
+    constructor, so the module is reached through `sys.modules`."""
+    narrow = _window_reads()
+    wide = lambda k: range(-(2 * k + 1), 2 * k + 2)
+    for module in ("multitri.surfaces", "multitri.cylinder"):
+        monkeypatch.setattr(sys.modules[module], "window_translations", wide)
+    try:
+        assert _window_reads() == narrow
+        assert len(lift_universe(4, 2).edges) == 264  # the wide window took hold
+    finally:
+        lift_universe.cache_clear()
 
 
 def _digest(items) -> str:
@@ -117,19 +153,32 @@ def _digest(items) -> str:
 
 
 # sha256 of the JSON list of class representatives of every triangulation,
-# in output order, frozen from the per-call windowed implementation.
+# in output order, for every cylinder instance within the enumeration
+# budget; (6, 1), (3, 2), (4, 2), (2, 3) and (3, 3) were frozen from the
+# per-call windowed implementation, the others at the [-(2k+1), 2k+1] window.
 ENUMERATION_DIGESTS = {
+    (1, 1): (1, "84ff3ba1744224ede8e0ecf1e8cdd3029c0ff8000c319d78ca0d7fceed183155"),
+    (2, 1): (2, "6e4935b66c56cafc554780270b76329e61f4d913f5e8cd8a520bded87d3d3680"),
+    (3, 1): (6, "be882ec872ffff2f8b7704a6f3cc29aa0e1512f36dea5125453a5cf182d21b81"),
+    (4, 1): (20, "aaf9e0759843a8575054e52a21b401ab9811ad3a4e1b14a7aa8e8d233be58c7b"),
+    (5, 1): (70, "963914f6397b58953191f2327cfa18daccdc0f6a3f4f141f77ff7e98d9e28391"),
+    (6, 1): (252, "d8a89fcba58bab6dd7e56ab805ed0ca97ded9d3a71ff3ad6cc9200d0f75db70e"),
+    (1, 2): (1, "fc98f8639876b4f83e2e8104580965edf55e202377e2cdbdb4987feea4849af2"),
+    (2, 2): (4, "43e827e459f3d479001dc7d16f8cac6a791a9b657891f1dfff5eaec8f83a9bdf"),
     (3, 2): (36, "7c6df75b38605e5cf07f5bc943a5aecfc77d93eca8ada9bcda0f4d9fb8dcfc42"),
     (4, 2): (400, "c56309b53cdc90527bdfcfc01ad47105fd7d7c15074af6565b3750336cdb25aa"),
+    (5, 2): (4900, "ee75a63c55d2c27d15efd8ce949e55a46195d984d83506ff44324c157573fca7"),
+    (1, 3): (1, "818ab27285986c039052b5ed4a21c935f24435123483aecb82748be800ef6fcc"),
     (2, 3): (8, "7427f3a228a02dc2a3de68a4465d2663149eb72fa603d347cb12f8d2219691e7"),
     (3, 3): (216, "fab2082f162f529b71e88730cb934f153328a3fc617bc867154b5b2164478422"),
-    (6, 1): (252, "d8a89fcba58bab6dd7e56ab805ed0ca97ded9d3a71ff3ad6cc9200d0f75db70e"),
 }
 
 
 @pytest.mark.parametrize("n,k", sorted(ENUMERATION_DIGESTS))
-def test_enumeration_output_frozen(n, k):
-    found = enumerate_cylinder(cylinder(n, k))
+def test_enumeration_output_frozen(request, n, k):
+    """The k=2 lists come from the session fixture, which enumerates C_5 once."""
+    found = (request.getfixturevalue("cylinder_k2_triangulations")[n] if k == 2
+             else enumerate_cylinder(cylinder(n, k)))
     reps = [[[c.rep.a, c.rep.b] for c in t.classes] for t in found]
     assert (len(found), _digest(reps)) == ENUMERATION_DIGESTS[n, k]
 

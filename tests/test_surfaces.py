@@ -155,9 +155,8 @@ def test_periodic_crossing_freeness():
 
 
 def test_window_translations_symmetric():
-    w = window_translations(2)
-    assert min(w) == -max(w)
-    assert 0 in w
+    for k in range(1, 5):
+        assert window_translations(k) == range(-k, k + 1)
 
 
 def test_surface_kind_is_polygon_or_cylinder():
