@@ -35,6 +35,7 @@ from .polygon import (
     PolygonTriangulation, _rotation_orbit, _unshifted, all_edges, expected_edge_count)
 from .surfaces import (
     _CACHE_SIZE,
+    _SELECTORS,
     Edge,
     EdgeClass,
     _check_classes,
@@ -84,8 +85,6 @@ def orbit_of_class(c: EdgeClass, k: int) -> list[Edge]:
     """The polygon edges the class wraps onto, 2k of them (k if spanning)."""
     return _rotation_orbit(*c.rep, c.n, 2 * k * c.n)
 
-
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")  # binary digits as `compress` selectors
 
 _polygon_edges = functools.lru_cache(maxsize=_CACHE_SIZE)(all_edges)
 

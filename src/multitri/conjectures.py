@@ -182,13 +182,19 @@ def find_single_translate_replacement(classes, doubled: EdgeClass, n: int, k: in
         raise LengthPrecondition(f"the translation lemma is stated for k=2, got k={k}")
     universe = lift_universe(n, k)
     lift = universe.lift(universe.indices(classes))
-    orbit = universe.lift(universe.indices([doubled]))
+    found = universe.indices([doubled])  # empty when doubled is short
+    return _replacement(universe, lift, found[0]) if found else None
+
+
+def _replacement(universe, lift: int, i: int):
+    """`find_single_translate_replacement` for class i on the lift mask `lift`."""
+    orbit = universe.translates[i]
     if not orbit & lift:
         return None
-    candidates = universe.through_rep[universe.index[doubled]] & lift & ~orbit
+    candidates = universe.through_rep[i] & lift & ~orbit
     for g in bits(candidates):
         for h in bits(candidates & universe.adj[g] & -(2 << g)):  # bits above g
-            return (doubled.rep, universe.edges[g], universe.edges[h])
+            return (universe.classes[i].rep, universe.edges[g], universe.edges[h])
     return None
 
 
@@ -206,7 +212,7 @@ def check_translation_lemma(n: int, k: int) -> dict:
 
 def _translation_report(n: int, k: int, triangulations) -> dict:
     universe = lift_universe(n, k)
-    adj, edges = universe.adj, universe.edges
+    adj, edges, index = universe.adj, universe.edges, universe.index
     # One read per translation orbit: a class longer than n crosses its
     # translate by n, and by translation each triple is (rep, rep + n, third).
     crossing_both = {c: adj[edges.index(c.rep)] & adj[edges.index(c.translate(1))]
@@ -216,18 +222,20 @@ def _translation_report(n: int, k: int, triangulations) -> dict:
     failures = []
     for idx, t in enumerate(triangulations):
         present = t.class_set()
+        # Each triangulation is lifted once; an extra class adds its translates.
+        base = universe.lift(universe.indices(t.classes))
         absent = [c for c in candidates if c not in present]
         for extra in absent:
             sets_checked += 1
             classes = list(t.classes) + [extra]
-            lift = universe.lift(universe.indices(classes))
+            lift = base | universe.translates[index[extra]]
             qualifying = [(c, edges[third]) for c in classes if c in crossing_both
                           for third in bits(crossing_both[c] & lift)]
             if not qualifying:
                 vacuous += 1
                 continue
             # One replacement search per doubled class: it reads nothing else.
-            replaced = {c: find_single_translate_replacement(classes, c, n, k)
+            replaced = {c: _replacement(universe, lift, index[c])
                         for c in {c for c, _ in qualifying}}
             for c, third in qualifying:
                 triples += 1

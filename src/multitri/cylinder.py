@@ -112,7 +112,6 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
     # decides maximality.
     size = ((expected_class_count(n, k) - len(shorts)) * len(window_translations(k))
             if k == 2 else None)
-    # The classes are sorted, so search order is sorted order (`maximal_sets`).
     found = sorted_unions(shorts, [[c] for c in universe.classes], universe.maximal_sets(size))
     return [CylinderTriangulation(surface, cs) for cs in found]
 

@@ -128,8 +128,6 @@ def _rotation_invariant(surface: SurfaceDesc, shift: int) -> list[PolygonTriangu
     shorts = short_edges(n, k)
     # Polygon purity: every k-triangulation has expected_edge_count edges.
     size = expected_edge_count(n, k) - len(shorts)
-    # Orbits are sorted by least edge, so search order is sorted order
-    # (`maximal_sets`).
     found = sorted_unions(shorts, orbits, universe.maximal_sets(size))
     return [PolygonTriangulation(surface, edges) for edges in found]
 

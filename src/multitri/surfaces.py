@@ -160,25 +160,35 @@ def bits(mask: int):
         mask &= mask - 1
 
 
+# Binary digits as `itertools.compress` selectors: b"0" -> 0, b"1" -> 1.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
 def sorted_unions(fixed, groups, picks) -> list[tuple]:
     """For each mask of group indices in `picks`, the sorted tuple of the
-    items of `fixed` and of the picked groups (all distinct).
+    items of `fixed` and of the picked groups (all distinct), the tuples in
+    sorted order: the one place that orders enumeration output.
 
     Every item is ranked once, the lowest on the highest bit; a group is
     then the mask of its items' ranks, and the binary digits of a result's
     union of masks select its items in rank order, with no comparison of
-    items per result.
+    items per result.  The unions are sorted descending.  Two results first
+    differ at the lowest item that one of them holds; unless the other is a
+    prefix of it, the other holds a higher item in that place and so sorts
+    after it.  Maximal sets form an antichain, so no result is a prefix of
+    another; where one is, it comes after the longer tuple.
     """
     ranked = sorted(itertools.chain(fixed, *groups))
     top = len(ranked) - 1
     rank = {x: top - r for r, x in enumerate(ranked)}
     base = sum(1 << rank[x] for x in fixed)
     union = _union_of([sum(1 << rank[x] for x in group) for group in groups])
-    digits, selectors = f"0{len(ranked)}b", bytes.maketrans(b"01", b"\0\1")
+    unions = sorted((base | union(picked) for picked in picks), reverse=True)
+    digits = f"0{len(ranked)}b"
     # A list first: a tuple grown from the iterator resizes as it goes.
     return [tuple([*itertools.compress(
-                ranked, format(base | union(picked), digits).encode().translate(selectors))])
-            for picked in picks]
+                ranked, format(mask, digits).encode().translate(_SELECTORS))])
+            for mask in unions]
 
 
 def _union_of(values: list[int]):
@@ -302,7 +312,7 @@ class CrossingUniverse:
 
     def maximal_sets(self, size: int | None = None) -> list[int]:
         """Every maximal (k+1)-crossing-free union of groups, as a mask of
-        group indices.
+        group indices, in no promised order (`sorted_unions` orders them).
 
         A depth-first search decides the groups in index order, including
         and then excluding each, and keeps the chosen members and
@@ -317,13 +327,14 @@ class CrossingUniverse:
           a k-clique there now holds a member m of g crossing it, and its
           other k-1 edges cross m as well.  So j is blocked iff for some such
           m, lowest first, the chosen and own members crossing both hold a
-          (k-1)-clique.  The chosen union is crossing-free and, like each
-          group, invariant under the symmetry forming the groups (rotation on
-          the polygon, translation on the cover), so a new crossing can be
-          moved onto a representative: a group in `possible` is included with
-          no test.  Chosen members only grow down a branch, so a
-          group outside `possible` stays blocked and is only excluded, and
-          every cut reading `possible` is sound, with or without `size`.
+          (k-1)-clique: at k=1 the empty one, so any such m blocks j.  The
+          chosen union is crossing-free and, like each group, invariant under
+          the symmetry forming the groups (rotation on the polygon,
+          translation on the cover), so a new crossing can be moved onto a
+          representative: a group in `possible` is included with no test.
+          Chosen members only grow down a branch, so a group outside
+          `possible` stays blocked and is only excluded, and every cut
+          reading `possible` is sound, with or without `size`.
         - Excluding a group is cut when the still possible members cannot
           block it in the leaf test, since no leaf below is then maximal.
         - At a leaf every absent group must be blocked by a k-clique of
@@ -348,12 +359,6 @@ class CrossingUniverse:
           leaf is kept without the test above: it is crossing-free with
           `size` members, and every crossing-free set extends to a maximal
           one of that size.
-        - Masks come in search order.  With groups ordered by least member,
-          that is the sorted order of the member sets: two results first
-          differ at a group g that the earlier includes and the later lacks;
-          below g's least member they agree, and the later, being maximal
-          and so no subset of the earlier, has a member above it.  The cuts
-          only drop subtrees without a result, so the order stays.
         - The lex-leader cut (Crawford-Ginsberg-Luks-Roy, "Symmetry-breaking
           predicates for search problems", KR 1996) keeps one result per
           orbit of the `symmetries`: an inclusion is cut when, for some
@@ -367,11 +372,8 @@ class CrossingUniverse:
           tests, so the image of a result is a result, and the first of
           each orbit in search order has no earlier image and is never cut.
           The cut uses no purity theorem.
-          Each kept result is then expanded into its orbit, and the masks,
-          de-duplicated, are sorted into search order: descending order of
-          the bit-reversed masks, since the mask holding the lowest differing
-          group comes first.  So the list is the one the search without the
-          cut returns.
+          Each kept result is then expanded into its orbit (`_orbits`), so
+          the masks are those the search without the cut finds.
         Every `has_clique` call goes through this module's global.
         """
         k, adj, rows, members = self.k, self.adj, self.through_rep, self.members
@@ -384,12 +386,6 @@ class CrossingUniverse:
         hits = [[(members[j], rows[j], [adj[m] for m in bits(members[i] & rows[j])])
                  for j in range(i + 1, count) if rows[j] & members[i]]
                 for i in range(count)]
-        # keep[i]: at k=1 one member of i crossing a later representative
-        # blocks that group by itself, so including i drops those at once.
-        keep = [-1] * count
-        if k == 1:
-            keep = [~sum(later for later, _, _ in hit) for hit in hits]
-            hits = [[]] * count
         # The lex-leader cut: field s of a packed int, `width` bits with a
         # guard bit on top, holds the image of picked under symmetry s.
         width = count + 1
@@ -416,7 +412,7 @@ class CrossingUniverse:
                 # differ, or the guard where they agree.
                 differ = chosen * copies ^ grown_image | guard
                 if not differ & ~(differ - copies) & grown_image:
-                    grown, alive = lift | group, possible & keep[i]
+                    grown, alive = lift | group, possible
                     for later, row, crossing in hits[i]:
                         if alive & later:
                             within = row & (grown | later)
@@ -436,19 +432,19 @@ class CrossingUniverse:
         seed = self.lift(i for i in range(count) if not self.blocked(i, 0))
         if seed.bit_count() >= floor:
             rec(0, 0, 0, 0, seed, 0)
-        return _orbits(found, image_of, copies) if copies else found
+        return _orbits(found, image_of, copies)
 
 
 def _orbits(leaders: list[int], image_of: list[int], copies: int) -> list[int]:
-    """Every image of the leaders under the symmetries, in search order
-    (`maximal_sets`); images and bit reversals are read by `_union_of`."""
+    """Every image of the leaders under the symmetries, each once, in no
+    order; the packed images (`maximal_sets`) are read by `_union_of`."""
     count, union = len(image_of), _union_of(image_of)
     field, shifts = (1 << count) - 1, range(0, copies.bit_length(), count + 1)
     found = set(leaders)
     for picked in leaders:
         packed = union(picked)
         found.update(packed >> s & field for s in shifts)
-    return sorted(found, reverse=True, key=_union_of([1 << count - 1 - i for i in range(count)]))
+    return list(found)
 
 
 class LiftUniverse(CrossingUniverse):

@@ -160,8 +160,9 @@ def make_cylinder_triangulation(n, k, reps):
 
 @pytest.fixture(scope="session")
 def cylinder_k2_triangulations():
-    """`enumerate_cylinder(cylinder(n, 2))` for n = 1..5, keyed by n; C_5
-    alone takes seconds, so it is enumerated once per session."""
+    """`enumerate_cylinder(cylinder(n, 2))` for n = 1..5, keyed by n,
+    enumerated once per session for the tests that read them; C_5 takes
+    about 0.1 s."""
     return {n: enumerate_cylinder(cylinder(n, 2)) for n in range(1, 6)}
 
 

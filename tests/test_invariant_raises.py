@@ -104,8 +104,9 @@ def test_phi_inverse_checks_the_wrap_back(monkeypatch, c3):
 def test_the_translation_lemma_records_a_failure(monkeypatch):
     """With no single-translate replacement ever found, every qualifying
     triple fails, and each failure carries its witness, minimized to the
-    doubled class alone."""
-    monkeypatch.setattr(conjectures, "find_single_translate_replacement", lambda *args: None)
+    doubled class alone.  The report and `find_single_translate_replacement`
+    both search through `_replacement`."""
+    monkeypatch.setattr(conjectures, "_replacement", lambda *args: None)
     report = check_translation_lemma(2, 2)
     assert not report["holds"] and report["triples_held"] == 0
     assert len(report["failures"]) == report["triples_checked"] > 0

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from conftest import SHIFT_INVARIANT_COUNTS
 from multitri import (
     CylinderTriangulation,
     Edge,
@@ -26,12 +27,16 @@ from multitri import (
     cylinder,
     edge_class_of,
     enumerate_cylinder,
+    enumerate_polygon,
+    enumerate_shift_invariant,
     find_single_translate_replacement,
     is_periodic_crossing_free,
+    polygon,
     relevant_class_candidates,
     short_classes,
     validate_cylinder_triangulation,
 )
+from multitri.polygon import ENUMERATION_BUDGET as POLYGON_BUDGET
 from multitri.surfaces import _CACHE_SIZE, cover_crosses, has_clique, lift_universe
 
 
@@ -181,6 +186,80 @@ def test_enumeration_output_frozen(request, n, k):
              else enumerate_cylinder(cylinder(n, k)))
     reps = [[[c.rep.a, c.rep.b] for c in t.classes] for t in found]
     assert (len(found), _digest(reps)) == ENUMERATION_DIGESTS[n, k]
+
+
+# sha256 of the JSON list of the edges of every triangulation, in output
+# order, for every polygon instance within the enumeration budget, frozen
+# while the search still returned its results sorted.  The largest, the
+# 12-gon at k=3, is left out: its 81,796-triangulation JSON alone takes
+# seconds to hash.
+POLYGON_DIGESTS = {
+    (3, 1): (1, "d1bd5014984f5b36bea299063a1039578751c6c9e292da451850bb2564bb0976"),
+    (4, 1): (2, "f70679894c5b5b73a43e18b241202ca2e5ddc664cc3dba504ac0b941eae97061"),
+    (5, 1): (5, "495744fb49c13c4761d0d59087908f67d0bd4adfd5718e4f0d64fcee4f78bb2c"),
+    (6, 1): (14, "fc0b69e5fb8986522e0326e4675cfa132cbc955c9b343a222223c30503c80db9"),
+    (7, 1): (42, "56d282f47ff3ebaccb9494b5cbaada7bd1bccdd6121f0f69c05a580d2914a20d"),
+    (8, 1): (132, "8a7ee0f0126b265337ce7bc5aede745a1299103dda38e9f5e786c53c74adfe89"),
+    (9, 1): (429, "f5fcf2c0cd7a6835c7768ab7b60245b88f52cd5cb5ff4010c799590ba65301a2"),
+    (10, 1): (1430, "c4ea5bf929e52d07f2a1cf67b93496d02d1612a292b27e844b31025e268e85f4"),
+    (11, 1): (4862, "d915199cd1f960abf27b23104cb5225e2c54fa4d38d446324eec316a3342f95e"),
+    (12, 1): (16796, "b461bb6ce4ed7996f900ea75515ac67ed09de5886f4f7dd56bdd58a9e02def3f"),
+    (3, 2): (1, "d1bd5014984f5b36bea299063a1039578751c6c9e292da451850bb2564bb0976"),
+    (4, 2): (1, "aee9a563bc04b979a87246b15a98280a21000c15cc314bcc58d4186690d3c060"),
+    (5, 2): (1, "71f43686bc5f78f3c51db13224a9affbbe3574feef6360d676dcf14550eb4dbe"),
+    (6, 2): (3, "e6103b2dd492e4bfc5d14b3b57a7b36e6b43c70055b8ff3328391328ea0d4ed2"),
+    (7, 2): (14, "8f16c765b25384e9da2eb03ed6384716b454a10ab25e2fba8f233a9d9dac8bd0"),
+    (8, 2): (84, "94b9fc3a280d3f75224b1a7a5f2dbf719b7e6830b75ebdd250b36032ea4b69a9"),
+    (9, 2): (594, "1c47b409606beb64d4b3ffc937feac6531f7c37a38db669695553c27a72e3019"),
+    (10, 2): (4719, "2e2b255ba4bd3cbffc4cd82628393fffad1760fdc8d3d4c69f31a83c779a1038"),
+    (3, 3): (1, "d1bd5014984f5b36bea299063a1039578751c6c9e292da451850bb2564bb0976"),
+    (4, 3): (1, "aee9a563bc04b979a87246b15a98280a21000c15cc314bcc58d4186690d3c060"),
+    (5, 3): (1, "71f43686bc5f78f3c51db13224a9affbbe3574feef6360d676dcf14550eb4dbe"),
+    (6, 3): (1, "924183af921dab7ed1f6be71144babb6ec702fb43e7a239b531eb2550b7f5e1e"),
+    (7, 3): (1, "835ee0367e0693d9ec22884f84ba534491ff0e27950c45f173cb3662c23899c8"),
+    (8, 3): (4, "cde4d412d43df2135016c9c84a294e4a1d5590097b64b73416cee324e651601a"),
+    (9, 3): (30, "4a07bf38505a00c5aeef906029e046d894b7a9de639ba11c7690495150c33d2a"),
+    (10, 3): (330, "8e2fb67c15924f8a76d3e1cf6c13f0e4e2203e3553c38a55a3e9f6cbc6cf9f26"),
+    (11, 3): (4719, "69710771a93305ea3ee72d481f98e8bd41d1978e14cc8a44cf89ad0467969875"),
+}
+
+# The same for every (m, k, shift) of SHIFT_INVARIANT_COUNTS.
+SHIFT_INVARIANT_DIGESTS = {
+    (8, 1, 4): (20, "ea154b48d732bcf03b76a3cc0edcad7982018ce4a9ac07920e4ba557acef859f"),
+    (8, 2, 2): (4, "f65d495e31e3cc60f0b3d2756226d98d359421b32ab379ffb2b6b0a65d7ebb17"),
+    (8, 2, 4): (20, "5e9545da9d51ee7cf22bba4c05ce95b8da5fa13c9a38f523ab7d95228e457102"),
+    (9, 1, 3): (6, "d57b629b514a38880a2b471759e6545aa6461a0b6e01470696147164d52783ad"),
+    (9, 2, 3): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (10, 1, 5): (70, "369adcad8fc238028092b32e8796e77a046c7bac52bd2922dbee2b77108381c2"),
+    (10, 2, 5): (175, "82ab08cbaa058ef219092f2db2f5c74ce72ba1938603ade3ea6698fbc363a130"),
+    (12, 1, 4): (20, "624e7c54b72d045db187cbfb8134f28daf927979b126f9bc362b910268580762"),
+    (12, 1, 6): (252, "3483f6f008f47aee0ef04c8ae95589a6cabeeec23ed4cde5ac8c2239b4c3592b"),
+    (12, 2, 3): (36, "d999701fc867cd0b6f64dcf9124002b6d52a892990d4f2f538235a1272772d35"),
+    (12, 2, 4): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (12, 3, 2): (8, "10082c2f45a15818b96c81712930f5fc260b4fd30e3534e763560640649dd4fa"),
+    (12, 3, 4): (40, "b6d48c0492a7a4d595c55e8067f43da4f9e728bc81cd7482084a6a61165794b6"),
+}
+
+
+def _edge_digest(found) -> tuple[int, str]:
+    return len(found), _digest([[list(e) for e in t.edges] for t in found])
+
+
+def test_digests_cover_every_instance_but_the_largest():
+    assert set(POLYGON_DIGESTS) == {(n, k) for k, top in POLYGON_BUDGET.items()
+                                    for n in range(3, top + 1)} - {(12, 3)}
+    assert set(SHIFT_INVARIANT_DIGESTS) == set(SHIFT_INVARIANT_COUNTS)
+
+
+@pytest.mark.parametrize("n,k", sorted(POLYGON_DIGESTS))
+def test_polygon_enumeration_output_frozen(n, k):
+    assert _edge_digest(enumerate_polygon(polygon(n, k))) == POLYGON_DIGESTS[n, k]
+
+
+@pytest.mark.parametrize("m,k,shift", sorted(SHIFT_INVARIANT_DIGESTS))
+def test_shift_invariant_enumeration_output_frozen(m, k, shift):
+    found = enumerate_shift_invariant(polygon(m, k), shift)
+    assert _edge_digest(found) == SHIFT_INVARIANT_DIGESTS[m, k, shift]
 
 
 # sha256 of the JSON list of validation outcomes ("ok" or "Type: message")
