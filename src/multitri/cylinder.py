@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import LengthPrecondition, StructureViolation, TooLarge
-from .polygon import KStar, _contained_stars, make_star
+from .polygon import KStar, _check_shorts, _contained_stars, make_star
 from .surfaces import (
     CYLINDER,
     Edge,
@@ -117,15 +117,15 @@ def enumerate_cylinder(surface: SurfaceDesc, max_n: int | None = None) -> list[C
 
 
 def validate_cylinder_triangulation(t: CylinderTriangulation):
-    """Raise StructureViolation unless t really is a k-triangulation of C_n;
-    `_check_classes` runs first, before any lift universe is built."""
+    """Raise StructureViolation unless t really is a k-triangulation of C_n.
+    `_check_classes` runs once, then the short-class count, both before any
+    lift universe or list of the n*k short classes is built."""
     n, k = t.surface.n, t.surface.k
     _check_classes(t.classes, n, k)
-    missing = sorted(set(short_classes(n, k)) - t.class_set())
-    if missing:
-        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
-        raise StructureViolation(f"classes of length <= {k} missing: {missing[:5]}{more}")
-    report = check_maximal_lifting(t)
+    present = sum(1 for c in t.classes if c.length <= k)
+    shorts = (EdgeClass(Edge(a, a + l), n) for a in range(n) for l in range(1, k + 1))
+    _check_shorts("classes", k, n * k - present, shorts, t.class_set())
+    report = _maximal_lifting(t)
     if not report["crossing_free"]:
         raise StructureViolation(f"lift contains a {k + 1}-crossing")
     if report["addable"]:
@@ -271,21 +271,29 @@ def check_maximal_lifting(t: CylinderTriangulation) -> dict:
     it lists the absent classes (shorts first, then in candidate order) that
     keep a crossing-free lift crossing-free, witnessing that t is not maximal.
     """
+    _check_classes(t.classes, t.surface.n, t.surface.k)
+    return _maximal_lifting(t)
+
+
+def _maximal_lifting(t: CylinderTriangulation) -> dict:
+    """The report of `check_maximal_lifting` on a class list already checked."""
     n, k = t.surface.n, t.surface.k
-    classes = t.class_set()
-    universe = lift_universe(n, k)
-    chosen = universe.indices(t.classes)
+    classes, universe = t.class_set(), lift_universe(n, k)
+    chosen = [universe.index[c] for c in t.classes if c.length > k]
     crossing_free = universe.crossing_free(chosen)
     lift = universe.lift(chosen)
-    absent = [c for c in short_classes(n, k) + relevant_class_candidates(n, k)
-              if c not in classes]
+    shorts = [c for c in short_classes(n, k) if c not in classes]
+    # The absent relevant classes in candidate order: the universe's (a, b)
+    # order sorted stably by length.
+    gaps = sorted((i for i, bits in enumerate(universe.translates) if not bits & lift),
+                  key=lambda i: universe.classes[i].length)
     # "c is addable iff short or not blocked" needs t's lift crossing-free.
-    addable = [c for c in absent if crossing_free and (
-        c.length <= k or not universe.blocked(universe.index[c], lift))]
+    addable = shorts + [universe.classes[i] for i in gaps
+                        if not universe.blocked(i, lift)] if crossing_free else []
     return {
         "n": n,
         "k": k,
-        "checked": len(absent),
+        "checked": len(shorts) + len(gaps),
         "crossing_free": crossing_free,
         "addable": addable,
         "violations": list(addable),

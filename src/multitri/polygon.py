@@ -155,16 +155,21 @@ def _checked_edge_set(t: PolygonTriangulation) -> frozenset[Edge]:
             raise StructureViolation(f"edge {e} out of range for the {n}-gon")
     d = min(k, n // 2)
     present = sum(1 for e in edges if cyclic_length(e, n) <= k)
-    missing = n * d - (n // 2 if 2 * d == n else 0) - present
-    if missing:
-        # The short edges in sorted order, generated lazily so that the
-        # message costs the size of t, not n*k.
-        shorts = (Edge(a, b) for a in range(n) for b in itertools.chain(
-            range(a + 1, min(a + k, n - 1) + 1), range(max(a + k + 1, n - k + a), n)))
-        first = list(itertools.islice((e for e in shorts if e not in edges), 5))
-        more = f" and {missing - 5} more" if missing > 5 else ""
-        raise StructureViolation(f"edges of length <= {k} missing: {first}{more}")
+    shorts = (Edge(a, b) for a in range(n) for b in itertools.chain(
+        range(a + 1, min(a + k, n - 1) + 1), range(max(a + k + 1, n - k + a), n)))
+    _check_shorts("edges", k, n * d - (n // 2 if 2 * d == n else 0) - present, shorts, edges)
     return edges
+
+
+def _check_shorts(kind: str, k: int, missing: int, shorts, present) -> None:
+    """The one short-edge rule of both surfaces: unless `missing` is 0, raise
+    StructureViolation naming the first five of `shorts`, the short edges or
+    classes in sorted order, that are not in `present`.  `shorts` is read
+    lazily, so the message costs the size of the input, not n*k."""
+    if missing:
+        first = list(itertools.islice((s for s in shorts if s not in present), 5))
+        more = f" and {missing - 5} more" if missing > 5 else ""
+        raise StructureViolation(f"{kind} of length <= {k} missing: {first}{more}")
 
 
 def _check_edge_count(edges: frozenset[Edge], n: int, k: int):

@@ -9,6 +9,10 @@ enumeration for pipe dream counts) and are frozen here as literals.
 
 from __future__ import annotations
 
+import functools
+import importlib
+from typing import NamedTuple
+
 import pytest
 
 from multitri import (
@@ -21,6 +25,7 @@ from multitri import (
     polygon,
     short_edges,
 )
+from multitri import surfaces
 
 # Catalan-Hankel oracle counts for polygon k-triangulations, keyed (n, k).
 POLYGON_COUNTS = {
@@ -146,6 +151,47 @@ GOLDEN_STAGES = {
         "XXXX",
     ],
 }
+
+
+class SpiedRun(NamedTuple):
+    """What one enumeration did: the (fixed, groups, picks) of every
+    `sorted_unions` call, the (universe, leaders, expanded) of every
+    `_orbits` call, and the enumerator's output."""
+
+    merges: list
+    expansions: list
+    found: list
+
+
+@functools.cache
+def spied_enumeration(enumerate_, *args) -> SpiedRun:
+    """`enumerate_(*args)` run once per session with its merges and orbit
+    expansions recorded, so the merge oracles and the count checks read one
+    enumeration of each instance (the 12-gon at k=3 takes about a second)."""
+    merges, universes, expansions = [], [], []
+    sorted_unions, maximal_sets = surfaces.sorted_unions, surfaces.CrossingUniverse.maximal_sets
+    orbits = surfaces._orbits
+
+    def spied_unions(fixed, groups, picks):
+        merges.append((fixed, groups, picks))
+        return sorted_unions(fixed, groups, picks)
+
+    def spied_search(self, size=None):
+        universes.append(self)
+        return maximal_sets(self, size)
+
+    def spied_orbits(leaders, image_of, copies):
+        expanded = orbits(leaders, image_of, copies)
+        expansions.append((universes[-1], leaders, expanded))
+        return expanded
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in ("multitri.polygon", "multitri.cylinder"):
+            mp.setattr(importlib.import_module(module), "sorted_unions", spied_unions)
+        mp.setattr(surfaces.CrossingUniverse, "maximal_sets", spied_search)
+        mp.setattr(surfaces, "_orbits", spied_orbits)
+        found = enumerate_(*args)
+    return SpiedRun(merges, expansions, found)
 
 
 def make_polygon_triangulation(n, k, long_edges):

@@ -291,6 +291,41 @@ def test_validation_outcomes_frozen(n):
     assert (len(outcomes), _digest(outcomes)) == VALIDATION_DIGESTS[n]
 
 
+# sha256 of the JSON list of [report, outcome] pairs over every C_n
+# triangulation at order k and its one-class neighbours: the whole
+# `check_maximal_lifting` report, classes as [a, b] representatives, and the
+# validation outcome.  Unlike VALIDATION_DIGESTS it pins the order of
+# `addable` and the `checked` count.
+LIFTING_DIGESTS = {
+    (1, 1): (2, "c8ad650eacab9dbc13cac7dc139ea649badd975233dbfa544eefec502fbdada8"),
+    (2, 1): (10, "2220ebb51cc8d2f42dfe6da5e49557f25f53aeeaceeb761d719a8153c60b56d7"),
+    (3, 1): (60, "1e445a5df21e27d24fa988ec2cc10bab16c676d542267ccbb1229399ecca96cb"),
+    (4, 1): (340, "f0945149974e469bb46b797317361baedd63dc11de76f075f8838f798476639b"),
+    (5, 1): (1820, "c1948b97239a002ace0d350b68942198899f7d4669bbc4c3ac052fb17fb4814a"),
+    (1, 2): (3, "45659bf9521bf8b1b8e2c8eda00f5dfc723c000ac7fa829336c1a0d8b4eceb26"),
+    (2, 2): (36, "6078f2dce5b13bd1cf2cd1fbf412f8083518912d643832545aadafdff4fc9468"),
+    (3, 2): (684, "c504af4244ef06d1686e2a1506eb2fc8f8d9fea76399d1c9f90f6746b27b4c63"),
+    (4, 2): (13200, "1e7453fb1e201c5dc27b9fbba6f4f12dd16b1590523696119089b1352f350c5d"),
+    (1, 3): (4, "876ecd4f35af4c4f69165697a76f4bfee96d125aab02a8d8fd67a0db6cbc714a"),
+    (2, 3): (104, "922439712d53d9cb501e791925dae430846e031e1ef6995d07cf701106224485"),
+    (3, 3): (6048, "bb5252e3089e76b25fe9c3285746597e708084ac67b7262dcae42811bf3709c9"),
+}
+
+
+def _lifting_record(t) -> list:
+    report = {key: [list(c.rep) for c in value] if key in ("addable", "violations") else value
+              for key, value in check_maximal_lifting(t).items()}
+    return [report, _validation_outcome(t)]
+
+
+@pytest.mark.parametrize("n,k", sorted(LIFTING_DIGESTS))
+def test_lifting_reports_and_outcomes_frozen(request, n, k):
+    found = (request.getfixturevalue("cylinder_k2_triangulations")[n] if k == 2
+             else enumerate_cylinder(cylinder(n, k)))
+    records = [_lifting_record(probe) for t in found for probe in one_class_neighbours(t)]
+    assert (len(records), _digest(records)) == LIFTING_DIGESTS[n, k]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_maximal_lifting_matches_windowed_oracle(n):
     radius = 5

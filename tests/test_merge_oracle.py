@@ -9,19 +9,19 @@ universe's rotations one group index at a time, and the two are compared
 as sorted lists, so a dropped or repeated mask still shows.  Both are
 compared on every enumerator instance of the budget, multi-member groups
 included (the shift searches), and on hand-built cases around the byte
-boundaries of the tables.
+boundaries of the tables.  Each instance is enumerated once for both
+oracles, by the cached `conftest.spied_enumeration`.
 """
 
 from __future__ import annotations
 
-import importlib
 import random
 from itertools import chain
 from math import inf
 
 import pytest
 
-from conftest import SHIFT_INVARIANT_COUNTS
+from conftest import SHIFT_INVARIANT_COUNTS, spied_enumeration
 from multitri import (
     cylinder,
     enumerate_cylinder,
@@ -32,12 +32,7 @@ from multitri import (
 from multitri import surfaces
 from multitri.cylinder import ENUMERATION_BUDGET as CYLINDER_BUDGET
 from multitri.polygon import ENUMERATION_BUDGET as POLYGON_BUDGET
-from multitri.surfaces import CrossingUniverse, bits, sorted_unions
-
-polygon_module = importlib.import_module("multitri.polygon")
-cylinder_module = importlib.import_module("multitri.cylinder")
-orbits_in_search = surfaces._orbits
-maximal_sets = CrossingUniverse.maximal_sets
+from multitri.surfaces import bits, sorted_unions
 
 
 def oracle_sorted_unions(fixed, groups, picks) -> list[tuple]:
@@ -75,61 +70,23 @@ def case_id(case) -> str:
     return "-".join(map(str, [surface.kind, surface.n, surface.k, *shift]))
 
 
-def merges(enumerate_, *args) -> list:
-    """The (fixed, groups, picks) of every `sorted_unions` call of
-    `enumerate_(*args)`."""
-    calls = []
-
-    def spied(fixed, groups, picks):
-        calls.append((fixed, groups, picks))
-        return sorted_unions(fixed, groups, picks)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polygon_module, "sorted_unions", spied)
-        mp.setattr(cylinder_module, "sorted_unions", spied)
-        enumerate_(*args)
-    return calls
-
-
-def expansions(enumerate_, *args) -> list:
-    """The (universe, leaders, expanded) of every `_orbits` call of
-    `enumerate_(*args)`."""
-    universes, calls = [], []
-
-    def spied_search(self, size=None):
-        universes.append(self)
-        return maximal_sets(self, size)
-
-    def spied_orbits(leaders, image_of, copies):
-        expanded = orbits_in_search(leaders, image_of, copies)
-        calls.append((universes[-1], leaders, expanded))
-        return expanded
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CrossingUniverse, "maximal_sets", spied_search)
-        mp.setattr(surfaces, "_orbits", spied_orbits)
-        enumerate_(*args)
-    return calls
-
-
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_sorted_unions_matches_oracle(case):
-    enumerate_, *args = case
-    [(fixed, groups, picks)] = merges(enumerate_, *args)
+    [(fixed, groups, picks)] = spied_enumeration(*case).merges
     assert sorted_unions(fixed, groups, picks) == oracle_sorted_unions(fixed, groups, picks)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_orbits_match_oracle(case):
-    enumerate_, *args = case
-    for universe, leaders, expanded in expansions(enumerate_, *args):
+    for universe, leaders, expanded in spied_enumeration(*case).expansions:
         assert sorted(expanded) == oracle_orbits(leaders, universe.symmetries)
 
 
 def test_shift_searches_merge_multi_member_groups():
     """The shift searches are the cases whose groups hold several items."""
     sizes = {len(group) for m, k, shift in SHIFT_INVARIANT_COUNTS
-             for _, groups, _ in merges(enumerate_shift_invariant, polygon(m, k), shift)
+             for _, groups, _ in spied_enumeration(
+                 enumerate_shift_invariant, polygon(m, k), shift).merges
              for group in groups}
     assert max(sizes) > 1
 

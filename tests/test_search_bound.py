@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import CYLINDER_COUNTS_K2, POLYGON_COUNTS, SHIFT_INVARIANT_COUNTS
+from conftest import CYLINDER_COUNTS_K2, POLYGON_COUNTS, SHIFT_INVARIANT_COUNTS, spied_enumeration
 from multitri import (
     cylinder,
     enumerate_cylinder,
@@ -111,8 +111,9 @@ def test_cylinder_c5_bound_gives_distinct_valid_triangulations(cylinder_k2_trian
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_largest_polygon_budget_matches_catalan_hankel(k):
+    """The enumerations the merge oracles read (`spied_enumeration`)."""
     n = ENUMERATION_BUDGET[k]
-    found = enumerate_polygon(polygon(n, k))
+    found = spied_enumeration(enumerate_polygon, polygon(n, k)).found
     assert len({t.edges for t in found}) == len(found) == POLYGON_COUNTS[n, k]
     assert {len(t.edges) for t in found} == {expected_edge_count(n, k)}
 
